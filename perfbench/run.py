@@ -1,10 +1,10 @@
 """Run one workload of the boolrg benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload tables --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload tables --seed 1 --seconds 26 --trace 0
 
 Run from the root of a checkout.  The workload runs in its own
 single-threaded process (``worker.py``) against ``src/boolrg`` of the
-checkout; eight more processes, four before it and four after, stop at the
+checkout; four more processes, two before it and two after, stop at the
 first timed operation to give the median set-up time.  The last stdout
 line is one JSON object with the keys correct, attempted, failed and
 metrics: the end-to-end metrics with ``--trace 0``, the per-layer metrics
@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("tables", "symmetric", "detect", "cli")
-SETUP_SIDE = 4  # set-up-only processes before and after the measured one
+SETUP_SIDE = 2  # set-up-only processes before and after the measured one
 WORKER_TIMEOUT_S = 170
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -161,12 +161,19 @@ def run_workload(args, workload: str) -> dict:
         "python": platform.python_version(), "numpy": rep["numpy"],
         "tail_percentile": pct, "operations": len(rep["op_ms"]), "ops_per_round": rep["ops_per_round"],
         "setup_samples_s": setups, "round_walls_s": rep["round_walls"],
+        "op_median_ms": _op_medians(rep),
         "known_faults": rep["known_faults"], "wrong": rep["wrong"], **result,
     }
     (results / f"{stem}.json").write_text(json.dumps(full, indent=1) + "\n")
     for name, whats in rep["wrong"].items():
         print(f"check failed: {workload} {name}: {whats}", file=sys.stderr)
     return result
+
+
+def _op_medians(rep: dict) -> dict:
+    """Median time of each operation of the round over the run's rounds."""
+    names, times = rep["op_names"], rep["op_ms"]
+    return {name: statistics.median(times[k::len(names)]) for k, name in enumerate(names)}
 
 
 def _layer_unit(name: str) -> str:

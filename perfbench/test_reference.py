@@ -159,13 +159,15 @@ def test_iid_density_is_exact_after_decimation():
 
 
 def test_binomial_band_has_a_small_exact_tail():
-    count, p = 1 << 10, 0.375
-    lo, hi = R.binomial_band(count, p)
+    count, p = 1 << 10, Fraction(3, 8)
+    lo, hi = R.binomial_band(count, float(p))
     outside = sum(math.comb(count, j) * p**j * (1 - p) ** (count - j) for j in range(count + 1) if not lo <= j <= hi)
-    assert outside < 1e-4
-    five_sigma = 5 * math.sqrt(count * p * (1 - p))
+    assert 0 < outside < Fraction(1, 10**7)
+    sigma = math.sqrt(count * p * (1 - p))
     assert lo <= count * p <= hi
-    assert not lo <= count * p + five_sigma <= hi  # a perturbed weight is rejected
+    assert lo <= count * p + 5.9 * sigma <= hi
+    assert not lo <= count * p + 6.1 * sigma <= hi  # a perturbed weight is rejected
+    assert not lo <= count * p - 6.1 * sigma <= hi
 
 
 def test_residue_cycle():
@@ -188,7 +190,7 @@ def test_workload_checks_reject_perturbed_program_outputs(tmp_path):
     import workloads as W
 
     out = W._run_sym("mod_p", 60, 3, 8)
-    check = lambda o, c: W._check_sym("mod_p", 3, o, c)  # noqa: E731
+    check = lambda o, c: W._check_sym("mod_p", 3, o, c, kept=False)  # noqa: E731
     assert _failures(check, out) == []
     trace = out["result"].trace
     steps = list(trace.steps)
@@ -231,3 +233,38 @@ def test_cli_checks_reject_perturbed_command_outputs(tmp_path):
     code, stdout, stderr = ops["detect-over-cap"].run()
     assert _failures(ops["detect-over-cap"].check, (code, stdout, stderr)) == []
     assert _failures(ops["detect-over-cap"].check, (0, stdout, stderr))  # a wrong exit code
+
+
+def _tags(failures):
+    return {fault for fault, _ in failures}
+
+
+def test_fault_tags_cover_only_the_known_failure(tmp_path):
+    pytest.importorskip("boolrg")
+    import workloads as W
+
+    # float densities: errors up to the ceiling on the kept inputs only
+    out = W._run_sym("mod_p", 5000, 3, 8)
+    check = lambda o, c: W._check_sym("mod_p", 3, o, c, kept=True)  # noqa: E731
+    assert _tags(_failures(check, out)) == {W.FAULT_FLOAT_DENSITY}
+    assert _tags(_failures(lambda o, c: W._check_sym("mod_p", 3, o, c, kept=False), out)) == {None}
+    trace = out["result"].trace
+    steps = list(trace.steps)
+    steps[1] = replace(steps[1], density=steps[1].density + 1e-3)
+    bad = replace(out["result"], trace=replace(trace, steps=tuple(steps)))
+    assert None in _tags(_failures(check, dict(out, result=bad)))
+
+    # JSON round trip without an arity: only a witness rebuilt at its top label
+    op = next(op for op in W.detect_round(0, tmp_path) if op.name == "x1+x3-n10")
+    out = op.run()
+    assert _tags(_failures(op.check, out)) == {W.FAULT_JSON_ARITY}
+    back = out["backs"]["exhaustive"]
+    moved = dict(out["backs"], exhaustive=replace(back, remainder_density=back.remainder_density + Fraction(1, 1024)))
+    assert None in _tags(_failures(op.check, dict(out, backs=moved)))
+
+    # sampled depth: an under-reported depth on the sparse polynomial only
+    op = next(op for op in W.tables_round(0, tmp_path) if op.name == "sparse-poly-n20")
+    out = op.run()
+    assert _tags(_failures(op.check, out)) == {W.FAULT_SAMPLED_DEPTH}
+    assert None in _tags(_failures(op.check, dict(out, depth=5)))  # over-reported
+    assert None in _tags(_failures(lambda o, c: W._check_table("dense-poly", o, c), out))

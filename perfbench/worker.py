@@ -20,11 +20,16 @@ from pathlib import Path
 
 # Untraced rounds a run makes at least (a traced run alternates 2 untraced
 # with 2 traced).  op_tail_ms takes the highest percentile with ten
-# operations beyond it in that many rounds.  Detect makes six, so its
-# percentile (88) falls among the many samples of its two longest probes,
-# not among the few of its third (n = 15), whose own jitter read 0.3
-# IQR/median over ten runs.
-MIN_ROUNDS = {"tables": 4, "symmetric": 4, "detect": 6, "cli": 4}
+# operations beyond it in that many rounds.  Detect makes seven, so its
+# percentile (91) falls in the middle of the samples of its n = 15 probe,
+# the second longest operation.  A rank at the edge between two kinds of
+# operation would move with every jitter of the host.
+MIN_ROUNDS = {"tables": 4, "symmetric": 4, "detect": 7, "cli": 4}
+# Round r of an untraced run draws its seeded inputs from the seed
+# ROUND_SEEDS * seed + r, so a run's figures average over inputs rather
+# than ride on one draw.  A traced run repeats round 0's inputs, so its
+# counts repeat exactly and its traced and untraced rounds do the same work.
+ROUND_SEEDS = 1000
 IMPORT_SAMPLES = 5
 
 
@@ -56,11 +61,16 @@ def main() -> int:
     from tracer import Tracer
 
     work = Path(args.work)
-    ops = workloads.round_ops(args.workload, args.seed, work)
     traced_cli = args.workload == "cli" and args.trace
-    if traced_cli:
-        # in-process through boolrg.cli.main, where the tracer can see the layers
-        ops = [_in_process(op, work) for op in ops]
+
+    def round_ops(rnd: int) -> list:
+        ops = workloads.round_ops(args.workload, ROUND_SEEDS * args.seed + rnd % ROUND_SEEDS, work)
+        if traced_cli:
+            # in-process through boolrg.cli.main, where the tracer can see the layers
+            ops = [_in_process(op, work) for op in ops]
+        return ops
+
+    ops = round_ops(0)
     setup_s = time.monotonic() - args.t0
     if args.setup_only:
         print(json.dumps({"setup_s": setup_s}))
@@ -78,8 +88,11 @@ def main() -> int:
     timed = 0.0
     while len(walls[False]) < need_untraced or len(walls[True]) < need_traced or timed < args.seconds:
         traced = bool(args.trace) and len(walls[False]) > len(walls[True])
+        rounds = len(walls[False]) + len(walls[True])
+        if rounds and not args.trace:
+            ops = round_ops(rounds)
         outs = []
-        gc.collect()  # every round starts from the same heap, so its collections repeat
+        gc.collect()  # no round pays for the garbage of the one before
         tracer.enabled = traced
         start = time.perf_counter()
         for op in ops:
@@ -116,6 +129,7 @@ def main() -> int:
     report = {
         "setup_s": setup_s,
         "ops_per_round": len(ops),
+        "op_names": [op.name for op in ops],
         "round_walls": walls[False],
         "op_ms": op_ms[False],
         "attempted": attempted,

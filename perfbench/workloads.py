@@ -6,7 +6,8 @@ compares the output with ``reference`` or with a property the method must
 have, outside the timed phase.  A check tagged with a fault name marks a
 known fault of the program: an operation whose only failed checks carry
 such a tag counts as failed, and any other failed check makes the run
-incorrect.
+incorrect.  A tag is given only on the fixed operations a fault is kept on,
+and only when the output differs in the way the fault is known to make it.
 """
 
 from __future__ import annotations
@@ -36,12 +37,9 @@ FAULT_JSON_ARITY = "json-witness-arity"
 FAULT_FLOAT_DENSITY = "float-density-error"
 
 FLOAT_DENSITY_TOL = 1e-12  # documented absolute error of sym_density above 4096
-
-# Half-width of the binomial band, in standard deviations.  A run makes about
-# 40 band checks and repeats them on every seed: at 4 sigma a correct table
-# fails about one seed in 150 (4.45 sigma on seed 126, 4.30 on seed 255 of
-# 0-299); at 6 sigma the chance is below 1e-7 per run.
-BAND_SIGMAS = 6.0
+# Largest float density error still put down to the float-density fault; the
+# errors seen on its inputs reach 7.1e-12, and a larger one counts as wrong.
+FLOAT_FAULT_CEILING = 1e-10
 
 
 class Checks:
@@ -166,7 +164,7 @@ def _check_table(name: str, out: dict, c: Checks) -> None:
         for trace in traces:
             for ell, d in enumerate(trace.densities()):
                 cells = 1 << (n - ell)
-                lo, hi = R.binomial_band(cells, R.iid_density(p0, ell), BAND_SIGMAS)
+                lo, hi = R.binomial_band(cells, R.iid_density(p0, ell))
                 c.expect(lo <= d * cells <= hi, f"density {float(d)} after {ell} steps outside the binomial band")
     elif name in ("majority", "mod_p3", "mod_p5", "parity"):
         p = {"mod_p3": 3, "mod_p5": 5}.get(name, 0)
@@ -183,11 +181,25 @@ def _check_table(name: str, out: dict, c: Checks) -> None:
     if anf is not None:
         degree = max((len(term) for term in anf.terms), default=0)
         c.expect(all(tr.density_at(degree + 1) == 0 for tr in traces if len(tr.steps) > degree), "polynomial survives degree+1 steps")
-        c.expect(out["depth"] == degree + 1, f"annihilation_depth {out['depth']} != degree {degree} + 1", FAULT_SAMPLED_DEPTH)
+        # the sampled-depth fault under-reports: a depth in 1..degree, and
+        # classify's xi one below the deepest first zero of its own traces
+        kept = name == "sparse-poly"
+        depth = out["depth"]
+        under = kept and depth is not None and 1 <= depth <= degree
+        c.expect(depth == degree + 1, f"annihilation_depth {depth} != degree {degree} + 1",
+                 FAULT_SAMPLED_DEPTH if under else None)
         rep = out["report"]
+        zeros = [_first_zero(tr) for tr in rep.traces]
+        under = (kept and rep.label == B.Phase.ANNIHILATED and None not in zeros
+                 and rep.xi == max(zeros) - 1 < degree)
         c.expect(rep.label == B.Phase.ANNIHILATED and rep.xi == degree,
-                 f"classify gave {rep.label.value} xi={rep.xi}, degree is {degree}", FAULT_SAMPLED_DEPTH)
+                 f"classify gave {rep.label.value} xi={rep.xi}, degree is {degree}",
+                 FAULT_SAMPLED_DEPTH if under else None)
     c.expect(out["back"] == t, "BFRG read differs from the table written")
+
+
+def _first_zero(trace) -> int | None:
+    return next((ell for ell, d in enumerate(trace.densities()) if d == 0), None)
 
 
 # --- symmetric -----------------------------------------------------------------
@@ -201,10 +213,14 @@ def symmetric_round(seed: int, work: Path) -> list[Op]:
         ("mod_p", 1000 + off(), 7, 16),
         ("mod_p", 1000 + off(), 5, 8),
         ("parity", 1000 + off(), 0, 8),
+        ("majority", 2000 + off(), 0, 8),
         ("majority", 4089 + off(), 0, 8),
         # float density path at fixed arities: whether a float density misses
         # its documented error depends on the arity, so the seed picks none
         ("majority", 4100, 0, 30),
+    ]
+    # the float-density fault's inputs
+    faulty = [
         ("majority", 9000, 0, 30),
         ("mod_p", 5000, 3, 8),
         ("mod_p", 6400, 3, 8),
@@ -213,8 +229,9 @@ def symmetric_round(seed: int, work: Path) -> list[Op]:
     return [
         Op(f"{family}{p or ''}-n{n}-s{steps}",
            lambda family=family, n=n, p=p, steps=steps: _run_sym(family, n, p, steps),
-           lambda out, c, family=family, p=p: _check_sym(family, p, out, c))
-        for family, n, p, steps in specs
+           lambda out, c, family=family, p=p, kept=kept: _check_sym(family, p, out, c, kept))
+        for kept, group in ((False, specs), (True, faulty))
+        for family, n, p, steps in group
     ]
 
 
@@ -226,28 +243,47 @@ def _run_sym(family: str, n: int, p: int, steps: int) -> dict:
     return {"f": f, "result": result, "report": B.flow.classify(f)}
 
 
-def _check_sym(family: str, p: int, out: dict, c: Checks) -> None:
+# Reference values (as bytes, to keep the worker's peak memory the
+# program's), exact density and residue pattern after each step, by
+# (family, n, p, steps).  Inputs repeat across rounds (the float-path ones in
+# every round), so each reference is built once per run.
+_SYM_REFERENCES: dict[tuple, list] = {}
+
+
+def _sym_references(family: str, n: int, p: int, steps: int) -> list:
+    key = (family, n, p, steps)
+    if key not in _SYM_REFERENCES:
+        values = _predicate(family, n, p)
+        row = R.binomial_row(n)
+        refs = []
+        for ell in range(steps + 1):
+            if ell:
+                row = R.row_down(row)
+            ref = R.lucas_jump(values, ell)
+            refs.append((bytes(ref), R.sym_density_exact(ref, row), R.residues(ref, p) if p else None))
+        _SYM_REFERENCES[key] = refs
+    return _SYM_REFERENCES[key]
+
+
+def _check_sym(family: str, p: int, out: dict, c: Checks, kept: bool) -> None:
     f, result, report = out["f"], out["result"], out["report"]
     n = f.n
-    values = _predicate(family, n, p)
-    c.expect(list(f.values) == values, "generated values differ from the predicate")
+    c.expect(list(f.values) == _predicate(family, n, p), "generated values differ from the predicate")
     densities = result.trace.densities()
-    row = R.binomial_row(n)
+    refs = _sym_references(family, n, p, len(densities) - 1)
     g = f
     patterns = []
-    for ell, d in enumerate(densities):
+    for ell, (d, (ref, exact, pattern)) in enumerate(zip(densities, refs)):
         if ell:
-            row = R.row_down(row)
             g = B.symmetric.sym_decimate(g)
-        ref = R.lucas_jump(values, ell)
-        c.expect(list(g.values) == ref, f"values after {ell} steps differ from the Lucas jump-ahead")
-        exact = R.sym_density_exact(ref, row)
+        c.expect(bytes(g.values) == ref, f"values after {ell} steps differ from the Lucas jump-ahead")
         if isinstance(d, Fraction):
             c.expect(d == exact, f"exact density after {ell} steps is off the Pascal row")
         else:
             err = abs(Fraction(d) - exact)
-            c.expect(err <= FLOAT_DENSITY_TOL, f"float density after {ell} steps off by {float(err):.2e}", FAULT_FLOAT_DENSITY)
-        patterns.append(R.residues(ref, p) if p else None)
+            fault = FAULT_FLOAT_DENSITY if kept and err <= FLOAT_FAULT_CEILING else None
+            c.expect(err <= FLOAT_DENSITY_TOL, f"float density after {ell} steps off by {float(err):.2e}", fault)
+        patterns.append(pattern)
     if p:
         c.expect(list(result.patterns) == patterns, "residue patterns differ from the values")
         c.expect((result.cycle_start, result.cycle_period) == R.residue_cycle(patterns), "residue cycle differs")
@@ -265,14 +301,17 @@ PLANTED_FAULT_SEED = 0  # classify finds a witness without x12 on this input
 def detect_round(seed: int, work: Path) -> list[Op]:
     fam = B.families
     seeded = [
-        ("planted", 5, 2, 0.05), ("planted", 6, 2, 0.03), ("random", 5, 2, None),
-        ("planted", 8, 1, 0.02), ("random", 9, 1, None), ("planted", 10, 1, 0.01),
-        ("affine", 11, 1, None), ("planted", 12, 1, 0.005), ("random", 13, 1, None),
-        ("random", 14, 1, None), ("random", 15, 1, None), ("random", 16, 1, None),
+        ("planted", 5, 2, 0.05), ("planted", 5, 2, 0.03), ("random", 5, 2, None),
+        ("planted", 7, 1, 0.03), ("planted", 8, 1, 0.02), ("random", 9, 1, None),
+        ("planted", 10, 1, 0.01), ("affine", 11, 1, None), ("planted", 11, 1, 0.01),
+        ("planted", 12, 1, 0.005), ("random", 13, 1, None), ("random", 14, 1, None),
+        ("random", 15, 1, None), ("random", 16, 1, None),
     ]
     # Planted tables stop at n = 12: whether classify runs its exact search
     # on them depends on the seed, and above n = 12 that search would make
-    # an operation's time depend on the seed too.
+    # an operation's time depend on the seed too.  The n = 16 probe (K = 17)
+    # is the longest operation by far and the n = 15 probe the next;
+    # op_tail_ms falls among the samples of the latter (see worker.MIN_ROUNDS).
     ops = []
     for k, (kind, n, xi, noise) in enumerate(seeded):
         s = seed * 1000 + k
@@ -282,7 +321,10 @@ def detect_round(seed: int, work: Path) -> list[Op]:
             build = lambda n=n, s=s: (fam.random_table(n, 0.5, s), None, None)
         else:
             build = lambda n=n, s=s: _poly(fam.random_polynomial(n, 1, 0.5, s))
-        ops.append(_detect_op(f"{kind}-n{n}-xi{xi}", build, xi, with_arity=True))
+        name = f"{kind}-n{n}-xi{xi}"
+        if any(op.name == name for op in ops):
+            name += f"-noise{noise}"
+        ops.append(_detect_op(name, build, xi, with_arity=True))
     # The JSON fault's inputs, fixed apart from the seed: witnesses without
     # their top label, read back without an arity as the CLI's JSON must be.
     x1_x3 = B.Anf(10, frozenset({frozenset({1}), frozenset({3})}))
@@ -331,9 +373,10 @@ def _check_detect(xi: int, with_arity: bool, out: dict, c: Checks) -> None:
     c.expect(trunc.witness.sorted_terms() == low, "truncation witness is not the low-degree part of the ANF")
     wdist = int((outputs ^ R.poly_outputs(n, low)).sum())
     c.expect(trunc.remainder_density == Fraction(wdist, 1 << n), "truncation remainder is not the witness distance")
-    fault = None if with_arity else FAULT_JSON_ARITY
     for k, rep in reps.items():
-        c.expect(out["backs"][k] == rep, f"{k} report changed in its JSON round trip", fault)
+        back = out["backs"][k]
+        fault = None if with_arity else _arity_fault(back, rep, n)
+        c.expect(back == rep, f"{k} report changed in its JSON round trip", fault)
     report, back = out["report"], out["back_report"]
     if report is not None:
         det = report.detector
@@ -344,14 +387,29 @@ def _check_detect(xi: int, with_arity: bool, out: dict, c: Checks) -> None:
             # whether it shows depends on the witness holding x_n
             witness = B.Anf(n, back.detector.witness.terms)
             back = replace(back, detector=replace(back.detector, witness=witness))
+        fault = None
+        if not with_arity and replace(back, detector=report.detector) == report:
+            fault = _arity_fault(back.detector, report.detector, n)
         c.expect(back == report, "classification report changed in its JSON round trip", fault)
+
+
+def _arity_fault(back, rep, n: int) -> str | None:
+    """FAULT_JSON_ARITY when a decomposition report read back without an
+    arity differs only in its witness, rebuilt at its largest label."""
+    if back is None or rep is None or back.witness is None:
+        return None
+    terms = back.witness.terms
+    top = max((max(term, default=0) for term in terms), default=0)
+    if back.witness.n != top or replace(back, witness=B.Anf(n, terms)) != rep:
+        return None
+    return FAULT_JSON_ARITY
 
 
 # --- cli -----------------------------------------------------------------------
 
 def cli_commands(seed: int) -> list[tuple[str, list[str]]]:
     """The README's commands, in its order, then an exhaustive probe over the
-    cap.  The seeded probes take the benchmark seed; commands whose label the
+    cap.  The seeded probes take the round seed; commands whose label the
     README documents keep the README's seed."""
     s = str(seed)
     return [
@@ -415,7 +473,7 @@ def _check_cli(name: str, out: tuple[int, str, str], c: Checks, work: Path) -> N
         elif name == "flow-random":
             for ell, (row, d) in enumerate(zip(rows, densities)):
                 cells = 1 << (18 - ell)
-                lo, hi = R.binomial_band(cells, R.iid_density(0.25, ell), BAND_SIGMAS)
+                lo, hi = R.binomial_band(cells, R.iid_density(0.25, ell))
                 c.expect(lo <= d * cells <= hi, f"random flow density {float(d)} at step {ell} outside the binomial band")
                 c.expect(abs(float(row["analytic_density"]) - R.iid_density(0.25, ell)) < 1e-12, "analytic column off")
         elif name == "flow-file":
