@@ -3,7 +3,9 @@
 A function of n inputs that only sees the arithmetic sum is stored as the
 n+1 outputs indexed by that sum, so arities in the thousands stay cheap.
 Decimation acts as a difference on the value vector, and densities weight
-each sum by its binomial count of configurations.
+each sum by its binomial count of configurations.  A flow builds the
+Pascal row C(n, .) once and carries it down one row per decimation, so
+each exact density is a sum over that row.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from .flow import FlowStep, FlowTrace
 from .truth_table import N_MAX, TruthTable, array_to_bits, bits_to_array
 
-# Above this arity densities switch from exact big-integer ratios to
-# log-domain binomials with compensated summation (abs error < 1e-12).
+# Up to this arity densities are exact sums over a big-integer Pascal row,
+# carried down a flow; above it, compensated log-domain sums (error < 1e-12).
 EXACT_DENSITY_MAX_N = 4096
 
 _LN2 = math.log(2.0)
@@ -64,18 +66,37 @@ def _log2_comb(n: int, s: int) -> float:
     ) / _LN2
 
 
+def _pascal_row(n: int) -> list[int]:
+    """C(n, s) for s = 0..n, by C(n, s+1) = C(n, s)(n-s)/(s+1)."""
+    row = [1]
+    for s in range(n):
+        row.append(row[-1] * (n - s) // (s + 1))
+    return row
+
+
+def _row_down(row: list[int]) -> list[int]:
+    """C(m-1, .) from C(m, .), by C(m-1, s) = C(m, s) - C(m-1, s-1)."""
+    down = [1]
+    for c in row[1:-1]:
+        down.append(c - down[-1])
+    return down
+
+
+def _row_density(f: SymmetricFunction, row: list[int]) -> Fraction:
+    return Fraction(sum(c for c, bit in zip(row, f.values) if bit), 1 << f.n)
+
+
 def sym_density(f: SymmetricFunction) -> Fraction | float:
     """Fraction of all 2**n configurations with output 1.
 
-    Exact via big-integer binomials up to EXACT_DENSITY_MAX_N; above that,
-    compensated summation of log-domain binomial weights.
+    Exact, summing the Pascal row C(n, .), up to EXACT_DENSITY_MAX_N; above
+    that, compensated summation of log-domain weights, clamped to at most 1.
     """
     if f.n <= EXACT_DENSITY_MAX_N:
-        total = sum(math.comb(f.n, s) for s, bit in enumerate(f.values) if bit)
-        return Fraction(total, 1 << f.n)
-    return math.fsum(
+        return _row_density(f, _pascal_row(f.n))
+    return min(1.0, math.fsum(
         2.0 ** (_log2_comb(f.n, s) - f.n) for s, bit in enumerate(f.values) if bit
-    )
+    ))
 
 
 def popcount_index_array(n: int) -> np.ndarray:
@@ -151,11 +172,16 @@ def sym_flow(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     patterns = [residue_pattern(f, modulus)] if modulus else None
+    row = _pascal_row(f.n) if f.n <= EXACT_DENSITY_MAX_N else None
+    start_density = sym_density(f) if row is None else _row_density(f, row)
     flow_steps = []
     g = f
     for _ in range(steps):
         g = sym_decimate(g)
-        flow_steps.append(FlowStep(None, g.n, sym_density(g)))
+        if g.n <= EXACT_DENSITY_MAX_N:
+            row = _pascal_row(g.n) if row is None else _row_down(row)
+        density = sym_density(g) if row is None else _row_density(g, row)
+        flow_steps.append(FlowStep(None, g.n, density))
         if patterns is not None:
             patterns.append(residue_pattern(g, modulus))
     cycle_start = cycle_period = None
@@ -167,7 +193,7 @@ def sym_flow(
                 cycle_period = idx - seen[pattern]
                 break
             seen[pattern] = idx
-    trace = FlowTrace(f.n, sym_density(f), tuple(flow_steps))
+    trace = FlowTrace(f.n, start_density, tuple(flow_steps))
     return SymFlowResult(
         trace,
         tuple(patterns) if patterns is not None else None,

@@ -156,6 +156,18 @@ def test_sym_flow_csv_and_cycle_note(runner):
     assert abs(float(first[3]) - 2 / 3) < 0.01
 
 
+def test_parity_above_exact_arity(runner):
+    # one step leaves the all-ones function, whose float density must not pass 1
+    res = invoke(runner, ["sym-flow", "--family", "parity", "--n", "4132", "--steps", "2"])
+    assert res.exit_code == 0
+    assert [line.split(",")[3] for line in res.output.strip().splitlines()[-2:]] == ["1.0", "0.0"]
+
+    res = invoke(runner, ["classify", "--family", "parity", "--n", "4132", "--engine", "symmetric", "--seed", "0"])
+    assert res.exit_code == 0
+    rep = json.loads(res.output)
+    assert (rep["label"], rep["xi"]) == ("ANNIHILATED", 1)
+
+
 def test_seed_echoed_when_omitted(runner):
     res = invoke(runner, ["flow", "--family", "random", "--n", "8", "--steps", "2"])
     assert res.exit_code == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ from boolrg.rg import decimate, decimate_seq
 from boolrg.symmetric import (
     EXACT_DENSITY_MAX_N,
     SymmetricFunction,
+    _pascal_row,
+    _row_down,
     from_truth_table,
     residue_pattern,
     sym_decimate,
@@ -21,6 +24,12 @@ from boolrg.truth_table import TruthTable
 
 def random_sym(n, rnd):
     return SymmetricFunction(n, tuple(rnd.getrandbits(1) for _ in range(n + 1)))
+
+
+def comb_density(f):
+    """The density as one math.comb per output-1 sum: the slow reference."""
+    total = sum(math.comb(f.n, s) for s, bit in enumerate(f.values) if bit)
+    return Fraction(total, 2**f.n)
 
 
 def test_validation():
@@ -72,11 +81,52 @@ def test_sym_density_log_domain_agrees_at_boundary():
     values = tuple(rnd.getrandbits(1) for _ in range(n + 1))
     f = SymmetricFunction(n, values)
     log_domain = sym_density(f)
-    exact = Fraction(
-        sum(math.comb(n, s) for s, bit in enumerate(values) if bit), 2**n
-    )
+    exact = comb_density(f)
     assert isinstance(log_domain, float)
     assert abs(log_domain - float(exact)) < 1e-12
+
+
+def test_pascal_row_and_row_down_match_comb():
+    for n in range(65):
+        assert _pascal_row(n) == [math.comb(n, s) for s in range(n + 1)]
+        if n:
+            assert _row_down(_pascal_row(n)) == [math.comb(n - 1, s) for s in range(n)]
+
+
+def test_sym_density_matches_comb_on_every_value_vector():
+    for n in range(11):
+        for values in itertools.product((0, 1), repeat=n + 1):
+            f = SymmetricFunction(n, values)
+            d = sym_density(f)
+            assert isinstance(d, Fraction)
+            assert d == comb_density(f)
+
+
+@pytest.mark.parametrize("n", [1000, *range(4089, 4098), 4100])
+@pytest.mark.parametrize("family", ["mod3", "majority"])
+def test_sym_flow_density_is_sym_density_at_every_step(family, n):
+    # the carried row must give what a fresh sym_density gives, in type and
+    # value; majority and mod 3 at n = 4100 cross EXACT_DENSITY_MAX_N at step 4
+    f = mod_p_sym(n, 3) if family == "mod3" else majority_sym(n)
+    densities = sym_flow(f, 8).trace.densities()
+    g = f
+    for ell, d in enumerate(densities):
+        if ell:
+            g = sym_decimate(g)
+        expected = sym_density(g)
+        assert type(d) is type(expected)
+        assert d == expected
+    if n in (1000, EXACT_DENSITY_MAX_N):  # the reference takes ~1 s near 4096
+        assert densities[-1] == comb_density(g)
+
+
+def test_sym_flow_parity_above_exact_arity():
+    # the all-ones function after one step must read exactly 1 on the float path
+    result = sym_flow(parity_sym(4132), 2)
+    start, one, zero = result.trace.densities()
+    assert start == pytest.approx(0.5, abs=1e-12)
+    assert one == 1.0
+    assert zero == 0
 
 
 def test_expand_project_round_trip():
