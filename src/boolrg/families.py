@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import symmetric as sym
-from .truth_table import Anf, TruthTable, anf_to_table, array_to_bits, var_mask
+from .truth_table import Anf, TruthTable, anf_to_table, var_mask
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -21,7 +21,14 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _random_bits(n: int, p: float, rng: np.random.Generator) -> int:
-    return array_to_bits(rng.random(1 << n) < p)
+    # Drawn and packed in chunks so no 2**n floats are ever held at once;
+    # Philox yields the same stream however the draws are split.
+    chunk = min(1 << n, 1 << 16)
+    packed = b"".join(
+        np.packbits(rng.random(chunk) < p, bitorder="little").tobytes()
+        for _ in range((1 << n) // chunk)
+    )
+    return int.from_bytes(packed, "little")
 
 
 def random_table(n: int, p0: float, seed: int) -> TruthTable:

@@ -94,20 +94,11 @@ class FlowTrace:
 
 def empirical_flow(t: TruthTable, order: Iterable[int]) -> FlowTrace:
     """Exact densities of successive decimations along ``order``."""
-    order = rg.check_order(t.n, order)
-    remaining = list(range(1, t.n + 1))
-    g = t
-    steps = []
-    for v in order:
-        if g.is_zero():
-            # zero stays zero; skip the kernel work
-            remaining.remove(v)
-            steps.append(FlowStep(v, len(remaining), Fraction(0)))
-            continue
-        g = rg.decimate(g, remaining.index(v) + 1)
-        remaining.remove(v)
-        steps.append(FlowStep(v, g.n, g.density()))
-    return FlowTrace(t.n, t.density(), tuple(steps))
+    steps = tuple(
+        FlowStep(v, m, Fraction(rg.popcount(buf), 1 << m))
+        for v, m, buf in rg.walk(t, order)
+    )
+    return FlowTrace(t.n, t.density(), steps)
 
 
 _CSV_EXACT = "step,remaining_arity,decimated_var,density_num,density_den"

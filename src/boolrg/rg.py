@@ -5,37 +5,88 @@ where flipping input i changes the output of ``t``.  Decimating a set of
 inputs gives the same result in any order, and a polynomial of degree d is
 wiped out by any d+1 decimations; those two facts drive everything else in
 this package.
+
+The kernel works on the table's little-endian byte buffer (bit k of the
+table is bit k % 8 of byte k // 8) and never unpacks it to one byte per
+output.  :func:`walk` converts a table once and yields the buffer after each
+step of a decimation order; every function here that follows an order, and
+:func:`boolrg.flow.empirical_flow`, consumes it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .truth_table import TruthTable, array_to_bits, bits_to_array
+from .truth_table import TruthTable
 
 # Original-variable labels for a sequence of decimations.  Labels always
 # refer to positions in the undecimated arity-n function, regardless of how
 # many labels before them have already been removed.
 DecimationOrder = tuple[int, ...]
 
+_WORDS = tuple(np.dtype(w) for w in ("u1", "u2", "u4", "u8"))
+_PAIRS = np.dtype("<u2")
+
+
+@functools.cache
+def _pair_xor_lut(b: int) -> np.ndarray:
+    # a byte -> the 4 XORs of its digit-b pairs; then 16 little-endian bits
+    # -> both bytes' XORs in one byte.  Built on first use, not at import.
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    pairs = bits.reshape(256, -1, 2, 1 << b)
+    xor = (pairs[:, :, 0] ^ pairs[:, :, 1]).reshape(256, 4)
+    nibble = (xor << np.arange(4)).sum(axis=1, dtype=np.uint8)
+    return ((nibble[:, None] << 4) | nibble).reshape(-1)
+
+
+def _halve(buf: np.ndarray, b: int) -> np.ndarray:
+    """XOR-derivative along index digit ``b`` of a packed table buffer."""
+    if b < 3:
+        # pairs lie inside bytes: two bytes in, one byte of pair XORs out (a
+        # table of at most 8 bits is one byte, padded with zero bits)
+        pairs = buf.view(_PAIRS) if len(buf) > 1 else buf.astype(_PAIRS)
+        return _pair_xor_lut(b)[pairs]
+    # blocks of 2**b bits are whole words; XOR each block with the next
+    words = buf.view(_WORDS[min(b - 3, 3)])
+    if b <= 6:
+        return (words[0::2] ^ words[1::2]).view(np.uint8)
+    words = words.reshape(-1, 2, 1 << (b - 6))
+    return (words[:, 0] ^ words[:, 1]).view(np.uint8).reshape(-1)
+
+
+def _to_buffer(t: TruthTable) -> np.ndarray:
+    return np.frombuffer(t.bits.to_bytes(((1 << t.n) + 7) // 8, "little"), np.uint8)
+
+
+def _popcount_int(buf: np.ndarray) -> int:
+    return int.from_bytes(buf, "little").bit_count()
+
+
+def popcount(buf: np.ndarray) -> int:
+    """Set bits of a table buffer (``np.bitwise_count`` needs numpy >= 2)."""
+    # below 1 KiB one Python-integer popcount beats numpy's call overhead
+    if len(buf) < 1024 or not hasattr(np, "bitwise_count"):
+        return _popcount_int(buf)
+    return int(np.bitwise_count(buf.view(np.uint64)).sum())
+
 
 def decimate(t: TruthTable, i: int) -> TruthTable:
     """XOR-derivative of ``t`` with respect to input ``i``.
 
     The result has arity n-1 over the remaining inputs in their original
-    relative order (labels above ``i`` shift down by one).
+    relative order (labels above ``i`` shift down by one).  Output k pairs
+    the table bits whose index has digit i-1 equal to 0 and to 1; the kernel
+    XORs those pairs word by word in the packed buffer.
     """
     if t.n < 1:
         raise ValueError("cannot decimate a 0-ary function")
     if not 1 <= i <= t.n:
         raise ValueError(f"variable {i} out of range 1..{t.n}")
-    b = i - 1
-    arr = bits_to_array(t.bits, t.n).reshape(-1, 2, 1 << b)
-    out = arr[:, 0, :] ^ arr[:, 1, :]
-    return TruthTable(t.n - 1, array_to_bits(out.reshape(-1)))
+    return TruthTable(t.n - 1, int.from_bytes(_halve(_to_buffer(t), i - 1), "little"))
 
 
 def check_order(n: int, order: Iterable[int]) -> DecimationOrder:
@@ -49,19 +100,32 @@ def check_order(n: int, order: Iterable[int]) -> DecimationOrder:
     return order
 
 
+def walk(t: TruthTable, order: Iterable[int]) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Decimate along original-variable labels, one step at a time.
+
+    Yields ``(label, arity left, buffer)`` after each step; the buffer is the
+    packed table of the derivative so far (see the module docstring).  The
+    table is converted once, however long the order.
+    """
+    order = check_order(t.n, order)
+    remaining = list(range(1, t.n + 1))
+    buf = _to_buffer(t)
+    for v in order:
+        buf = _halve(buf, remaining.index(v))
+        remaining.remove(v)
+        yield v, len(remaining), buf
+
+
 def decimate_seq(t: TruthTable, order: Iterable[int]) -> TruthTable:
     """Fold :func:`decimate` over original-variable labels.
 
     Equivalent to the mod-2 sum of ``t`` over all settings of the decimated
     inputs; the result depends only on the set of labels, not their order.
     """
-    order = check_order(t.n, order)
-    remaining = list(range(1, t.n + 1))
-    g = t
-    for v in order:
-        g = decimate(g, remaining.index(v) + 1)
-        remaining.remove(v)
-    return g
+    buf = None
+    for _, m, buf in walk(t, order):
+        pass
+    return t if buf is None else TruthTable(m, int.from_bytes(buf, "little"))
 
 
 def sample_orders(
@@ -87,12 +151,8 @@ def first_zero_step(t: TruthTable, order: Sequence[int], cap: int) -> int | None
     """First m <= cap with the length-m prefix of ``order`` annihilating ``t``."""
     if t.is_zero():
         return 0
-    remaining = list(range(1, t.n + 1))
-    g = t
-    for step, v in enumerate(order[:cap], start=1):
-        g = decimate(g, remaining.index(v) + 1)
-        remaining.remove(v)
-        if g.is_zero():
+    for step, (_, _, buf) in enumerate(walk(t, order[:cap]), start=1):
+        if not buf.any():
             return step
     return None
 
@@ -102,17 +162,17 @@ def _depth_over_all_subsets(t: TruthTable, cap: int) -> int | None:
     # the subset lattice level by level checks every order at once.
     if t.is_zero():
         return 0
-    level = {(): t}
+    level = {(): _to_buffer(t)}
     for m in range(1, cap + 1):
-        next_level: dict[tuple[int, ...], TruthTable] = {}
+        next_level: dict[tuple[int, ...], np.ndarray] = {}
         all_zero = True
         for subset, g in level.items():
             start = subset[-1] + 1 if subset else 1
             for v in range(start, t.n + 1):
-                remaining = [u for u in range(1, t.n + 1) if u not in subset]
-                h = decimate(g, remaining.index(v) + 1)
+                # v's digit among the labels left: v - 1 less those removed
+                h = _halve(g, v - 1 - len(subset))
                 next_level[subset + (v,)] = h
-                if not h.is_zero():
+                if h.any():
                     all_zero = False
         if all_zero:
             return m

@@ -96,7 +96,7 @@ class TruthTable:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= N_MAX:
             raise ValueError(f"arity must be in [0, {N_MAX}], got {self.n}")
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+        if not (self.bits >= 0 and self.bits.bit_length() <= 1 << self.n):
             raise ValueError(f"bits out of range for arity {self.n}")
 
     @classmethod
@@ -193,14 +193,11 @@ class Anf:
 
 def table_to_anf(t: TruthTable) -> Anf:
     """Polynomial coefficients of a table via the subset-sum transform."""
-    coeff = mobius(t.bits, t.n)
-    terms = []
-    while coeff:
-        k = coeff & -coeff
-        idx = k.bit_length() - 1
-        terms.append(frozenset(j + 1 for j in range(t.n) if idx >> j & 1))
-        coeff ^= k
-    return Anf(t.n, frozenset(terms))
+    coeff = bits_to_array(mobius(t.bits, t.n), t.n)
+    return Anf(t.n, frozenset(
+        frozenset(j + 1 for j in range(t.n) if idx >> j & 1)
+        for idx in np.flatnonzero(coeff).tolist()
+    ))
 
 
 def anf_to_table(a: Anf) -> TruthTable:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from boolrg.families import (
@@ -24,6 +25,16 @@ def test_random_table_extremes():
     assert random_table(6, 1.0, 1) == TruthTable.constant(6, 1)
     with pytest.raises(ValueError):
         random_table(4, 1.5, 0)
+
+
+def test_random_table_matches_one_shot_draw():
+    # the table is drawn in chunks; the bits are those of a single draw
+    for seed in (1, 2, 3):
+        for p in (0.25, 0.5):
+            for n in range(21):
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+                packed = np.packbits(rng.random(1 << n) < p, bitorder="little")
+                assert random_table(n, p, seed).bits == int.from_bytes(packed, "little")
 
 
 def test_random_table_concentration():

@@ -1,11 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolrg import rg
 from boolrg.families import parity, random_polynomial
+from boolrg.flow import empirical_flow
 from boolrg.rg import (
     annihilation_depth,
     decimate,
@@ -14,7 +18,7 @@ from boolrg.rg import (
     order_independence_check,
     sample_orders,
 )
-from boolrg.truth_table import TruthTable, anf_to_table, table_to_anf
+from boolrg.truth_table import Anf, TruthTable, anf_to_table, table_to_anf
 
 AND2 = TruthTable.from_outputs([0, 0, 0, 1])
 
@@ -28,6 +32,28 @@ def brute_decimate(t: TruthTable, i: int) -> TruthTable:
         x1 = x[: i - 1] + [1] + x[i - 1 :]
         outs.append(t.evaluate(x0) ^ t.evaluate(x1))
     return TruthTable.from_outputs(outs)
+
+
+def old_decimate(t: TruthTable, i: int) -> TruthTable:
+    """The unpack/XOR/pack kernel that the packed-buffer kernel replaced."""
+    raw = t.bits.to_bytes(((1 << t.n) + 7) // 8, "little")
+    arr = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")[: 1 << t.n]
+    arr = arr.reshape(-1, 2, 1 << (i - 1))
+    packed = np.packbits(arr[:, 0, :] ^ arr[:, 1, :], bitorder="little")
+    return TruthTable(t.n - 1, int.from_bytes(packed.tobytes(), "little"))
+
+
+def brute_walk(t: TruthTable, order) -> list[TruthTable]:
+    """Table after each step of ``order``, one brute-force derivative at a time."""
+    remaining = list(range(1, t.n + 1))
+    g, out = t, []
+    for v in order:
+        i = remaining.index(v) + 1
+        remaining.remove(v)
+        # the derivative of zero is zero: skip the brute force
+        g = TruthTable.constant(g.n - 1, 0) if g.is_zero() else brute_decimate(g, i)
+        out.append(g)
+    return out
 
 
 def random_table_local(n, rnd):
@@ -71,12 +97,72 @@ def test_decimate_errors():
 
 
 def test_decimate_matches_brute_force():
+    # every label, down to n = 1..3 where the table is under two bytes
     rnd = random.Random(11)
-    for _ in range(40):
-        n = rnd.randint(1, 10)
+    for n in range(1, 11):
+        for t in (random_table_local(n, rnd), random_table_local(n, rnd)):
+            for i in range(1, n + 1):
+                assert decimate(t, i) == brute_decimate(t, i)
+
+
+def test_decimate_matches_unpacking_kernel():
+    rnd = random.Random(12)
+    for n in range(11, 17):
         t = random_table_local(n, rnd)
-        i = rnd.randint(1, n)
-        assert decimate(t, i) == brute_decimate(t, i)
+        for i in range(1, n + 1):
+            assert decimate(t, i) == old_decimate(t, i)
+
+
+def walk_orders(n):
+    if n <= 5:
+        return list(itertools.permutations(range(1, n + 1)))
+    return sample_orders(n, 32, seed=n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_walks_match_brute_force(n):
+    # empirical_flow, decimate_seq and first_zero_step all run on walk();
+    # each is checked at every step against a brute-force decimation
+    rnd = random.Random(60 + n)
+    poly = anf_to_table(random_polynomial(n, min(n, 2), 0.5, n))
+    top = anf_to_table(Anf(n, frozenset({frozenset(range(n // 2 + 1, n + 1))})))
+    for t in (random_table_local(n, rnd), poly, top, TruthTable.constant(n, 0)):
+        first_zeros = []
+        for order in walk_orders(n):
+            tables = brute_walk(t, order)
+            trace = empirical_flow(t, order)
+            assert [(s.var, s.remaining_arity) for s in trace.steps] == [
+                (v, g.n) for v, g in zip(order, tables)
+            ]
+            assert [s.density for s in trace.steps] == [
+                Fraction(g.weight(), g.size) for g in tables
+            ]
+            assert decimate_seq(t, ()) == t
+            for m, g in enumerate(tables, start=1):
+                assert decimate_seq(t, order[:m]) == g
+            zeros = [m for m, g in enumerate(tables, start=1) if g.is_zero()]
+            fz = 0 if t.is_zero() else (zeros[0] if zeros else None)
+            for cap in range(n + 1):
+                expected = fz if fz is not None and fz <= cap else None
+                assert first_zero_step(t, order, cap) == expected
+            first_zeros.append(fz)
+        if n <= 5:
+            # every order tried: the depth over all subsets is the deepest
+            # first zero, or None when some order never reaches zero
+            depth = None if None in first_zeros else max(first_zeros)
+            assert annihilation_depth(t) == depth
+
+
+@pytest.mark.parametrize("numpy_count", [True, False])
+def test_popcount_matches_weight(numpy_count, monkeypatch):
+    if not numpy_count:  # as on numpy < 2, which has no bitwise_count
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+    rnd = random.Random(14)
+    for n in list(range(0, 17)) + [20]:
+        for t in (random_table_local(n, rnd), TruthTable.constant(n, 1)):
+            buf = rg._to_buffer(t)
+            assert rg.popcount(buf) == t.weight()
+            assert rg._popcount_int(buf) == t.weight()
 
 
 def test_decimate_seq_parity4():
@@ -84,8 +170,6 @@ def test_decimate_seq_parity4():
 
 
 def test_decimate_seq_degree2_any_triple_is_zero():
-    from boolrg.truth_table import Anf
-
     a = Anf(4, frozenset({frozenset({1, 2}), frozenset({3})}))
     t = anf_to_table(a)
     for order in itertools.permutations(range(1, 5), 3):

@@ -14,6 +14,7 @@ from boolrg.truth_table import (
     BfrgPayloadError,
     TruthTable,
     anf_to_table,
+    mobius,
     read_table,
     table_to_anf,
     write_table,
@@ -109,11 +110,44 @@ def test_anf_rejects_bad_labels():
         Anf(2, frozenset({frozenset({3})}))
 
 
+def term_loop_anf(t: TruthTable) -> Anf:
+    """Lowest-set-bit term extraction that table_to_anf used to run."""
+    coeff = mobius(t.bits, t.n)
+    terms = []
+    while coeff:
+        k = coeff & -coeff
+        idx = k.bit_length() - 1
+        terms.append(frozenset(j + 1 for j in range(t.n) if idx >> j & 1))
+        coeff ^= k
+    return Anf(t.n, frozenset(terms))
+
+
+def test_table_to_anf_matches_term_loop():
+    for t in random_tables(10, 60, seed=21):
+        assert table_to_anf(t) == term_loop_anf(t)
+    for n in range(11):
+        for value in (0, 1):
+            t = TruthTable.constant(n, value)
+            assert table_to_anf(t) == term_loop_anf(t)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10), st.randoms(use_true_random=False))
+@given(st.integers(0, 12), st.randoms(use_true_random=False))
 def test_mobius_involution(n, rnd):
     t = TruthTable(n, rnd.getrandbits(1 << n))
     assert anf_to_table(table_to_anf(t)) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=40))
+))
+def test_anf_round_trip(case):
+    n, indices = case
+    a = Anf(n, frozenset(
+        frozenset(j + 1 for j in range(n) if idx >> j & 1) for idx in indices
+    ))
+    assert table_to_anf(anf_to_table(a)) == a
 
 
 @settings(max_examples=50, deadline=None)
@@ -178,6 +212,12 @@ def test_table_validation():
         TruthTable(-1, 0)
     with pytest.raises(ValueError):
         TruthTable(1, 4)  # only 2 bits of storage at arity 1
+    for n in (0, 1, 3, 6, N_MAX):
+        assert TruthTable(n, (1 << (1 << n)) - 1).weight() == 1 << n
+        with pytest.raises(ValueError):
+            TruthTable(n, 1 << (1 << n))
+        with pytest.raises(ValueError):
+            TruthTable(n, -1)
     with pytest.raises(ValueError):
         TruthTable.from_outputs([0, 1, 0])
     with pytest.raises(ValueError):
