@@ -4,8 +4,8 @@ Subcommands: flow, sym-flow, classify, detect, count, gen.  Every command
 is deterministic under an explicit --seed; without one a fresh seed is
 drawn and echoed to stderr so the run can be reproduced.  detect exits 0
 when the probed function fits the near-polynomial bound, 3 when it does
-not, and 4 when the exact search would exceed its candidate cap, so shell
-pipelines can sieve corpora without parsing JSON.
+not, and 4 when the exact search would exceed its candidate or work cap,
+so shell pipelines can sieve corpora without parsing JSON.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 from pathlib import Path
 
 import click
-import mpmath as mp
 
 from . import counting, detector, families, flow, rg, symmetric
 from .truth_table import (
@@ -293,6 +292,7 @@ def cmd_detect(
 @click.option("--out", type=click.Path(), default=None)
 def cmd_count(n_list, xi_arg, bound_c, bound_alpha, out):
     """Emit the counting-bound sweep as CSV: n,xi,C,alpha,log2F,log2M,margin."""
+    import mpmath as mp  # deferred so the other commands start without it
     try:
         ns = [int(v) for v in n_list.split(",")]
         if xi_arg == "sqrt":

@@ -10,9 +10,10 @@ the exact values but never substituted into a conclusion.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import mpmath as mp
+if TYPE_CHECKING:
+    import mpmath as mp
 
 _EXACT_COMB_MAX_N = 4096
 _WORKING_DPS = 60
@@ -39,6 +40,7 @@ def log2_comb(n, k) -> float | mp.mpf:
         raise ValueError(f"k={k} outside 0..{n}")
     if isinstance(n, int) and isinstance(k, int) and n <= _EXACT_COMB_MAX_N:
         return log2_of_int(math.comb(n, k))
+    import mpmath as mp  # deferred so that importing the package skips it
     with mp.workdps(_WORKING_DPS):
         n_, k_ = mp.mpf(n), mp.mpf(k)
         val = (
@@ -68,6 +70,7 @@ def log2_num_polynomials(n: int, xi: int) -> PolyCount:
     exact = sum(math.comb(n, j) for j in range(xi + 1))
     asymptotic = None
     if xi >= 1:
+        import mpmath as mp
         with mp.workdps(_WORKING_DPS):
             asymptotic = float(mp.e * mp.power(mp.mpf(n) / xi, xi))
     return PolyCount(exact, asymptotic)
@@ -96,6 +99,7 @@ def log2_perturbation_count(
         raise ValueError("need n >= 2")
     if xi < 0 or c <= 0 or alpha <= 0:
         raise ValueError("invalid bound parameters")
+    import mpmath as mp
     with mp.workdps(_WORKING_DPS):
         omega = mp.power(2, n)
         log2_phi = mp.log(c, 2) + n - alpha * xi / mp.log(n, 2)
@@ -127,6 +131,7 @@ def separation_margin(n: int, xi: int, c: float = 1.0, alpha: float = 1.0) -> mp
     degree-<= xi polynomial are a vanishing minority at these parameters.
     The polynomial count enters exactly; surrogates are display-only.
     """
+    import mpmath as mp
     pert = log2_perturbation_count(n, xi, c, alpha)
     exact_m = log2_num_polynomials(n, xi).log2_exact
     with mp.workdps(_WORKING_DPS):

@@ -19,25 +19,26 @@ from typing import Sequence
 import numpy as np
 
 from . import rg
-from .symmetric import SymmetricFunction, popcount_index_array
+from .symmetric import SymmetricFunction, class_weights, popcount_index_array
 from .truth_table import (
     Anf,
     TruthTable,
     anf_to_table,
-    array_to_bits,
-    bits_to_array,
     mobius,
     table_to_anf,
     var_mask,
 )
 
 # Exact search enumerates 2**K candidate polynomials, K = number of
-# monomials of degree <= xi; hard cap at 2**24 candidates.
+# monomials of degree <= xi, and XORs each into a table of 2**n bits.  Both
+# the candidates (Python overhead per candidate dominates at small n) and
+# the 2**(K + n) bits of work are capped; n = 17 at xi = 1 takes seconds.
 EXHAUSTIVE_K_CAP = 24
+EXHAUSTIVE_WORK_CAP = 35
 
 
 class CapacityError(ValueError):
-    """Exact search would need more candidates than the cap allows."""
+    """Exact search would need more candidates or work than the caps allow."""
 
     def __init__(self, message: str, log2_candidates: int):
         super().__init__(message)
@@ -147,13 +148,15 @@ def exhaustive_nearest_polynomial(
 
     Walks all 2**K coefficient choices in Gray-code order (one table XOR
     per candidate).  Ties go to the lexicographically smallest monomial
-    set.  Raises CapacityError beyond 2**24 candidates.
+    set.  Raises CapacityError beyond 2**24 candidates, or beyond 2**35
+    candidate-table bits.
     """
     monos = monomials_up_to(t.n, xi)
     k = len(monos)
-    if k > EXHAUSTIVE_K_CAP:
+    if k > EXHAUSTIVE_K_CAP or k + t.n > EXHAUSTIVE_WORK_CAP:
         raise CapacityError(
-            f"2**{k} candidate polynomials exceed the 2**{EXHAUSTIVE_K_CAP} cap",
+            f"2**{k} candidate polynomials over 2**{t.n} outputs exceed the "
+            f"2**{EXHAUSTIVE_K_CAP} candidate or 2**{EXHAUSTIVE_WORK_CAP} work cap",
             log2_candidates=k,
         )
     basis = [monomial_table_bits(t.n, m) for m in monos]
@@ -263,13 +266,12 @@ def degree_density_profile(t: TruthTable) -> tuple[Fraction, ...]:
     """Density of the degree-exactly-eta part of ``t``, for eta = 0..n."""
     if t.n > PROFILE_MAX_N:
         raise ValueError(f"profile capped at arity {PROFILE_MAX_N}")
-    coeff = mobius(t.bits, t.n)
+    coeff = mobius(t.buffer(), t.n)
     pc = popcount_index_array(t.n)
     out = []
     for eta in range(t.n + 1):
-        mask = array_to_bits((pc == eta).astype(np.uint8))
-        part = mobius(coeff & mask, t.n)
-        out.append(Fraction(part.bit_count(), t.size))
+        part = mobius(coeff & np.packbits(pc == eta, bitorder="little"), t.n)
+        out.append(Fraction(rg.popcount(part), t.size))
     return tuple(out)
 
 
@@ -353,17 +355,15 @@ def symmetric_projection_distance(
     projection; it says nothing about proximity to other composite
     variables.
     """
-    arr = bits_to_array(t.bits, t.n)
-    pc = popcount_index_array(t.n)
-    ones = np.bincount(pc, weights=arr, minlength=t.n + 1).astype(np.int64)
+    ones = class_weights(t)
     values = []
     flips = 0
     for s in range(t.n + 1):
         size = math.comb(t.n, s)
-        if 2 * int(ones[s]) > size:
+        if 2 * ones[s] > size:
             values.append(1)
-            flips += size - int(ones[s])
+            flips += size - ones[s]
         else:
             values.append(0)
-            flips += int(ones[s])
+            flips += ones[s]
     return SymmetricFunction(t.n, tuple(values)), Fraction(flips, t.size)

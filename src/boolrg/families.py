@@ -20,7 +20,7 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _random_bits(n: int, p: float, rng: np.random.Generator) -> int:
+def _random_table(n: int, p: float, rng: np.random.Generator) -> TruthTable:
     # Drawn and packed in chunks so no 2**n floats are ever held at once;
     # Philox yields the same stream however the draws are split.
     chunk = min(1 << n, 1 << 16)
@@ -28,14 +28,14 @@ def _random_bits(n: int, p: float, rng: np.random.Generator) -> int:
         np.packbits(rng.random(chunk) < p, bitorder="little").tobytes()
         for _ in range((1 << n) // chunk)
     )
-    return int.from_bytes(packed, "little")
+    return TruthTable.from_buffer(n, packed)
 
 
 def random_table(n: int, p0: float, seed: int) -> TruthTable:
     """Each of the 2**n outputs is 1 independently with probability p0."""
     if not 0 <= p0 <= 1:
         raise ValueError(f"probability {p0} outside [0, 1]")
-    return TruthTable(n, _random_bits(n, p0, _generator(seed)))
+    return _random_table(n, p0, _generator(seed))
 
 
 def constant(n: int, value: int) -> TruthTable:
@@ -158,10 +158,7 @@ def planted_near_polynomial(
     poly = _random_polynomial(
         n, xi, term_density, np.random.Generator(np.random.Philox(child_poly))
     )
-    noise = TruthTable(
-        n,
-        _random_bits(
-            n, noise_fraction, np.random.Generator(np.random.Philox(child_noise))
-        ),
+    noise = _random_table(
+        n, noise_fraction, np.random.Generator(np.random.Philox(child_noise))
     )
     return PlantedFunction(anf_to_table(poly) ^ noise, poly, noise)

@@ -6,11 +6,13 @@ inputs gives the same result in any order, and a polynomial of degree d is
 wiped out by any d+1 decimations; those two facts drive everything else in
 this package.
 
-The kernel works on the table's little-endian byte buffer (bit k of the
-table is bit k % 8 of byte k // 8) and never unpacks it to one byte per
-output.  :func:`walk` converts a table once and yields the buffer after each
-step of a decimation order; every function here that follows an order, and
-:func:`boolrg.flow.empirical_flow`, consumes it.
+The kernel works on the table's packed buffer (see
+:meth:`boolrg.truth_table.TruthTable.buffer`) and never unpacks it to one
+byte per output: along an index digit b >= 3 it XORs the two
+:func:`boolrg.truth_table.digit_blocks` views, the same views the Möbius
+butterfly uses.  :func:`walk` converts a table once and yields the buffer
+after each step of a decimation order; every function here that follows an
+order, and :func:`boolrg.flow.empirical_flow`, consumes it.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .truth_table import TruthTable
+from .truth_table import TruthTable, digit_blocks, table_to_anf
 
 # Original-variable labels for a sequence of decimations.  Labels always
 # refer to positions in the undecimated arity-n function, regardless of how
 # many labels before them have already been removed.
 DecimationOrder = tuple[int, ...]
 
-_WORDS = tuple(np.dtype(w) for w in ("u1", "u2", "u4", "u8"))
 _PAIRS = np.dtype("<u2")
 
 
@@ -50,16 +51,8 @@ def _halve(buf: np.ndarray, b: int) -> np.ndarray:
         # table of at most 8 bits is one byte, padded with zero bits)
         pairs = buf.view(_PAIRS) if len(buf) > 1 else buf.astype(_PAIRS)
         return _pair_xor_lut(b)[pairs]
-    # blocks of 2**b bits are whole words; XOR each block with the next
-    words = buf.view(_WORDS[min(b - 3, 3)])
-    if b <= 6:
-        return (words[0::2] ^ words[1::2]).view(np.uint8)
-    words = words.reshape(-1, 2, 1 << (b - 6))
-    return (words[:, 0] ^ words[:, 1]).view(np.uint8).reshape(-1)
-
-
-def _to_buffer(t: TruthTable) -> np.ndarray:
-    return np.frombuffer(t.bits.to_bytes(((1 << t.n) + 7) // 8, "little"), np.uint8)
+    lo, hi = digit_blocks(buf, b)
+    return (lo ^ hi).view(np.uint8).reshape(-1)
 
 
 def _popcount_int(buf: np.ndarray) -> int:
@@ -86,7 +79,7 @@ def decimate(t: TruthTable, i: int) -> TruthTable:
         raise ValueError("cannot decimate a 0-ary function")
     if not 1 <= i <= t.n:
         raise ValueError(f"variable {i} out of range 1..{t.n}")
-    return TruthTable(t.n - 1, int.from_bytes(_halve(_to_buffer(t), i - 1), "little"))
+    return TruthTable.from_buffer(t.n - 1, _halve(t.buffer(), i - 1))
 
 
 def check_order(n: int, order: Iterable[int]) -> DecimationOrder:
@@ -109,7 +102,7 @@ def walk(t: TruthTable, order: Iterable[int]) -> Iterator[tuple[int, int, np.nda
     """
     order = check_order(t.n, order)
     remaining = list(range(1, t.n + 1))
-    buf = _to_buffer(t)
+    buf = t.buffer()
     for v in order:
         buf = _halve(buf, remaining.index(v))
         remaining.remove(v)
@@ -125,7 +118,7 @@ def decimate_seq(t: TruthTable, order: Iterable[int]) -> TruthTable:
     buf = None
     for _, m, buf in walk(t, order):
         pass
-    return t if buf is None else TruthTable(m, int.from_bytes(buf, "little"))
+    return t if buf is None else TruthTable.from_buffer(m, buf)
 
 
 def sample_orders(
@@ -157,29 +150,6 @@ def first_zero_step(t: TruthTable, order: Sequence[int], cap: int) -> int | None
     return None
 
 
-def _depth_over_all_subsets(t: TruthTable, cap: int) -> int | None:
-    # The derivative over a set of labels is order independent, so walking
-    # the subset lattice level by level checks every order at once.
-    if t.is_zero():
-        return 0
-    level = {(): _to_buffer(t)}
-    for m in range(1, cap + 1):
-        next_level: dict[tuple[int, ...], np.ndarray] = {}
-        all_zero = True
-        for subset, g in level.items():
-            start = subset[-1] + 1 if subset else 1
-            for v in range(start, t.n + 1):
-                # v's digit among the labels left: v - 1 less those removed
-                h = _halve(g, v - 1 - len(subset))
-                next_level[subset + (v,)] = h
-                if h.any():
-                    all_zero = False
-        if all_zero:
-            return m
-        level = next_level
-    return None
-
-
 def annihilation_depth(
     t: TruthTable,
     orders: Sequence[Sequence[int]] | None = None,
@@ -188,15 +158,20 @@ def annihilation_depth(
 ) -> int | None:
     """Smallest m such that every sampled length-m decimation yields zero.
 
-    With ``orders=None`` the sample is every subset of inputs when the arity
-    is at most 8, else 64 seeded random orders.  Returns ``None`` when no
-    m <= cap annihilates all sampled orders.  For a polynomial of degree d
-    this equals d+1 (0 for the zero function).
+    A polynomial of degree d is wiped out by every d+1 decimations and
+    survives some d of them, so over all orders the depth is d+1 (0 for the
+    zero function).  With ``orders=None`` that exact value is returned when
+    the arity is at most 8; above 8 the sample is 64 seeded random orders,
+    which can stop short of d+1.  Returns ``None`` when no m <= cap
+    annihilates all sampled orders.
     """
     cap = t.n if cap is None else min(cap, t.n)
     if orders is None:
         if t.n <= 8:
-            return _depth_over_all_subsets(t, cap)
+            if t.is_zero():
+                return 0
+            depth = table_to_anf(t).degree + 1
+            return depth if depth <= cap else None
         orders = sample_orders(t.n, 64, cap, seed)
     if not orders:
         raise ValueError("need at least one order")

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .flow import FlowStep, FlowTrace
-from .truth_table import N_MAX, TruthTable, array_to_bits, bits_to_array
+from .truth_table import N_MAX, TruthTable
 
 # Up to this arity densities are exact sums over a big-integer Pascal row,
 # carried down a flow; above it, compensated log-domain sums (error < 1e-12).
@@ -111,25 +111,24 @@ def to_truth_table(f: SymmetricFunction) -> TruthTable:
     """Expand to the exhaustive table (arity capped at N_MAX)."""
     if f.n > N_MAX:
         raise ValueError(f"arity {f.n} exceeds table cap {N_MAX}")
-    lookup = np.asarray(f.values, dtype=np.uint8)
-    return TruthTable(f.n, array_to_bits(lookup[popcount_index_array(f.n)]))
+    outputs = np.asarray(f.values, dtype=np.uint8)[popcount_index_array(f.n)]
+    return TruthTable.from_buffer(f.n, np.packbits(outputs, bitorder="little"))
+
+
+def class_weights(t: TruthTable) -> list[int]:
+    """Number of inputs with output 1 in each popcount class s = 0..n."""
+    outputs = np.unpackbits(t.buffer(), count=t.size, bitorder="little")
+    ones = popcount_index_array(t.n)[outputs.view(bool)]
+    return np.bincount(ones, minlength=t.n + 1).tolist()
 
 
 def from_truth_table(t: TruthTable) -> SymmetricFunction:
     """Project a table that is constant on every popcount class; else raise."""
-    arr = bits_to_array(t.bits, t.n)
-    pc = popcount_index_array(t.n)
-    ones = np.bincount(pc, weights=arr, minlength=t.n + 1).astype(np.int64)
-    values = []
-    for s in range(t.n + 1):
-        size = math.comb(t.n, s)
-        if ones[s] == 0:
-            values.append(0)
-        elif ones[s] == size:
-            values.append(1)
-        else:
+    ones = class_weights(t)
+    for s, w in enumerate(ones):
+        if 0 < w < math.comb(t.n, s):
             raise ValueError(f"table is not symmetric: mixed outputs at sum {s}")
-    return SymmetricFunction(t.n, tuple(values))
+    return SymmetricFunction(t.n, tuple(int(w > 0) for w in ones))
 
 
 def residue_pattern(f: SymmetricFunction, modulus: int) -> frozenset[int]:

@@ -1,10 +1,12 @@
 """Exhaustive truth tables of Boolean functions and their mod-2 polynomial form.
 
-A function of ``n`` inputs is stored as a single Python integer holding all
-2**n output bits: bit ``k`` is the output for the assignment whose j-th input
-equals the j-th binary digit of ``k`` (input 1 is the least significant
-digit).  Integers give cheap XOR/AND, exact popcounts, and hashability; the
-numpy helpers below are used where a reshape beats big-int shifting.
+Bit ``k`` of a table is the output for the assignment whose j-th input is
+the j-th binary digit of ``k`` (input 1 is the least significant digit).  A
+:class:`TruthTable` holds all 2**n bits in one Python integer, for hashing,
+equality and whole-table XOR/AND.  Transforms work on its packed buffer
+(:meth:`TruthTable.buffer`, also the BFRG payload): bit k is bit k % 8 of
+byte k // 8.  The Möbius butterfly here and the decimation kernel in
+:mod:`boolrg.rg` both run on the :func:`digit_blocks` views of a buffer.
 """
 
 from __future__ import annotations
@@ -41,49 +43,50 @@ def _nbytes(n: int) -> int:
     return ((1 << n) + 7) // 8
 
 
-def bits_to_array(bits: int, n: int) -> np.ndarray:
-    """Unpack the 2**n packed output bits into a uint8 0/1 array."""
-    raw = bits.to_bytes(_nbytes(n), "little")
-    arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return arr[: 1 << n]
-
-def array_to_bits(arr: np.ndarray) -> int:
-    packed = np.packbits(arr.astype(np.uint8, copy=False), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _tile_mask(pattern: int, period: int, total: int) -> int:
-    # period and total are powers of two, so doubling lands exactly on total
-    out = pattern
-    span = period
-    while span < total:
+def var_mask(i: int, n: int) -> int:
+    """Packed table of the projection x_i (bit k set iff digit i-1 of k is 1)."""
+    b = i - 1
+    out = ((1 << (1 << b)) - 1) << (1 << b)
+    # the period and 2**n are powers of two, so doubling lands exactly on 2**n
+    span = 1 << (b + 1)
+    while span < 1 << n:
         out |= out << span
         span <<= 1
     return out
 
 
-def low_half_mask(j: int, n: int) -> int:
-    """Positions k in [0, 2**n) whose j-th index bit is 0."""
-    block = (1 << (1 << j)) - 1
-    return _tile_mask(block, 1 << (j + 1), 1 << n)
+_WORDS = tuple(np.dtype(w) for w in ("u1", "u2", "u4", "u8"))
+# bits of a byte whose index digit b (b < 3) is 0
+_LOW_HALF_BYTE = (0x55, 0x33, 0x0F)
 
 
-def var_mask(i: int, n: int) -> int:
-    """Packed table of the projection x_i (bit k set iff digit i-1 of k is 1)."""
-    b = i - 1
-    block = ((1 << (1 << b)) - 1) << (1 << b)
-    return _tile_mask(block, 1 << (b + 1), 1 << n)
+def digit_blocks(buf: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(digit b = 0, digit b = 1) halves of a packed buffer as views, b >= 3.
+
+    Blocks of 2**b bits are whole words: strided word slices up to b = 6,
+    then rows of 2**(b-6) uint64 words.  Writing to a view writes to ``buf``.
+    """
+    words = buf.view(_WORDS[min(b - 3, 3)])
+    if b <= 6:
+        return words[0::2], words[1::2]
+    words = words.reshape(-1, 2, 1 << (b - 6))
+    return words[:, 0], words[:, 1]
 
 
-def mobius(bits: int, n: int) -> int:
-    """In-place butterfly of the mod-2 subset-sum transform (self-inverse).
+def mobius(buf: np.ndarray, n: int) -> np.ndarray:
+    """Butterfly of the mod-2 subset-sum transform on a buffer (self-inverse).
 
     Maps output bits to polynomial coefficients and back: coefficient at
     index ``m`` is the XOR of outputs over all sub-assignments of ``m``.
+    Returns a new buffer; ``buf`` is not written.
     """
-    for j in range(n):
-        bits ^= (bits & low_half_mask(j, n)) << (1 << j)
-    return bits
+    out = buf.copy()
+    for b in range(min(n, 3)):
+        out ^= (out & _LOW_HALF_BYTE[b]) << (1 << b)
+    for b in range(3, n):
+        lo, hi = digit_blocks(out, b)
+        hi ^= lo
+    return out
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,8 @@ class TruthTable:
             raise ValueError(f"output count {size} is not a power of two")
         if any(b not in (0, 1) for b in outputs):
             raise ValueError("outputs must be 0/1")
-        bits = 0
-        for k, b in enumerate(outputs):
-            bits |= b << k
-        return cls(n, bits)
+        packed = np.packbits(np.array(outputs, np.uint8), bitorder="little")
+        return cls.from_buffer(n, packed)
 
     @classmethod
     def constant(cls, n: int, value: int) -> "TruthTable":
@@ -119,12 +120,21 @@ class TruthTable:
             raise ValueError("constant value must be 0 or 1")
         return cls(n, ((1 << (1 << n)) - 1) if value else 0)
 
+    @classmethod
+    def from_buffer(cls, n: int, buf) -> "TruthTable":
+        """Table of arity ``n`` from a packed buffer (see :meth:`buffer`)."""
+        return cls(n, int.from_bytes(buf, "little"))
+
     @property
     def size(self) -> int:
         return 1 << self.n
 
+    def buffer(self) -> np.ndarray:
+        """Read-only packed buffer of the outputs, converted anew on each call."""
+        return np.frombuffer(self.bits.to_bytes(_nbytes(self.n), "little"), np.uint8)
+
     def to_outputs(self) -> list[int]:
-        return [(self.bits >> k) & 1 for k in range(self.size)]
+        return np.unpackbits(self.buffer(), count=self.size, bitorder="little").tolist()
 
     def evaluate(self, x: Sequence[int]) -> int:
         """Output for one assignment; x[j] is the value of input j+1."""
@@ -193,7 +203,7 @@ class Anf:
 
 def table_to_anf(t: TruthTable) -> Anf:
     """Polynomial coefficients of a table via the subset-sum transform."""
-    coeff = bits_to_array(mobius(t.bits, t.n), t.n)
+    coeff = np.unpackbits(mobius(t.buffer(), t.n), bitorder="little")
     return Anf(t.n, frozenset(
         frozenset(j + 1 for j in range(t.n) if idx >> j & 1)
         for idx in np.flatnonzero(coeff).tolist()
@@ -202,13 +212,10 @@ def table_to_anf(t: TruthTable) -> Anf:
 
 def anf_to_table(a: Anf) -> TruthTable:
     """Inverse of :func:`table_to_anf`; round trip is the identity."""
-    coeff = 0
-    for term in a.terms:
-        idx = 0
-        for v in term:
-            idx |= 1 << (v - 1)
-        coeff |= 1 << idx
-    return TruthTable(a.n, mobius(coeff, a.n))
+    idx = np.array([sum(1 << (v - 1) for v in term) for term in a.terms], np.int64)
+    coeff = np.zeros(_nbytes(a.n), np.uint8)
+    np.bitwise_or.at(coeff, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
+    return TruthTable.from_buffer(a.n, mobius(coeff, a.n))
 
 
 _MAGIC = b"BFRG 1 n="
@@ -220,8 +227,9 @@ def write_table(t: TruthTable, path: str | Path) -> None:
     Bit order is little-endian within each byte, so bit 0 of byte 0 is the
     output at index 0.
     """
-    payload = t.bits.to_bytes(_nbytes(t.n), "little")
-    Path(path).write_bytes(_MAGIC + str(t.n).encode("ascii") + b"\n" + payload)
+    with Path(path).open("wb") as fh:
+        fh.write(_MAGIC + str(t.n).encode("ascii") + b"\n")
+        fh.write(t.buffer())
 
 
 def read_table(path: str | Path) -> TruthTable:

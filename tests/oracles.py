@@ -1,0 +1,54 @@
+"""Integer-mask reference implementations that the packed-buffer code replaced.
+
+Each works on ``TruthTable.bits`` with Python big-integer shifts and masks,
+sharing nothing with the numpy kernels in ``src/``, so the tests compare the
+two bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from boolrg.truth_table import TruthTable
+
+
+def low_half_mask(j: int, n: int) -> int:
+    """Positions k in [0, 2**n) whose j-th index bit is 0."""
+    out = (1 << (1 << j)) - 1
+    span = 1 << (j + 1)
+    while span < 1 << n:
+        out |= out << span
+        span <<= 1
+    return out
+
+
+def int_mobius(bits: int, n: int) -> int:
+    """Mod-2 subset-sum transform of a packed table held as an integer."""
+    for j in range(n):
+        bits ^= (bits & low_half_mask(j, n)) << (1 << j)
+    return bits
+
+
+def _class_mask(n: int, s: int) -> int:
+    return sum(1 << k for k in range(1 << n) if k.bit_count() == s)
+
+
+def int_degree_density_profile(t: TruthTable) -> tuple[Fraction, ...]:
+    """Density of the degree-exactly-eta part of ``t``, for eta = 0..n."""
+    coeff = int_mobius(t.bits, t.n)
+    return tuple(
+        Fraction(int_mobius(coeff & _class_mask(t.n, eta), t.n).bit_count(), t.size)
+        for eta in range(t.n + 1)
+    )
+
+
+def int_projection_distance(t: TruthTable) -> tuple[tuple[int, ...], Fraction]:
+    """Majority value per popcount class and the flips it costs."""
+    values, flips = [], 0
+    for s in range(t.n + 1):
+        ones = (t.bits & _class_mask(t.n, s)).bit_count()
+        size = math.comb(t.n, s)
+        values.append(1 if 2 * ones > size else 0)
+        flips += size - ones if 2 * ones > size else ones
+    return tuple(values), Fraction(flips, t.size)

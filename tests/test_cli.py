@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -123,6 +124,22 @@ def test_detect_exit_codes(runner, tmp_path):
         ["detect", "--family", "random", "--n", "20", "--seed", "4", "--method", "exhaustive", "--detect-xi", "3"],
     )
     assert res.exit_code == 4
+
+
+def test_detect_exhaustive_over_work_cap_exits_fast(runner):
+    # 2**21 candidates pass the candidate cap, but each is a 2**20-bit table
+    # XOR: the search would run for minutes
+    start = time.perf_counter()
+    res = invoke(
+        runner,
+        ["detect", "--family", "random", "--n", "20", "--detect-xi", "1", "--seed", "4", "--method", "exhaustive"],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 4
+    # stdout and stderr interleaved (as click < 8.2 also gives them): the
+    # capacity message alone, no JSON report on stdout
+    assert res.output.splitlines() == [res.output.strip()]
+    assert "work cap" in res.output and "{" not in res.output
 
 
 def test_count_csv(runner):

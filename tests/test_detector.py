@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import int_degree_density_profile, int_projection_distance
 
 from boolrg.detector import (
     CapacityError,
@@ -130,6 +131,15 @@ def test_exhaustive_capacity_error():
         exhaustive_nearest_polynomial(random_table(20, 0.5, 1), 3)
     assert err.value.log2_candidates == 1 + 20 + 190 + 1140
     assert str(err.value.log2_candidates) in str(err.value)
+
+
+def test_exhaustive_work_cap():
+    # n = 18, xi = 1: 2**19 candidates, under the candidate cap, but
+    # 19 + 18 > 35 doublings of table work
+    with pytest.raises(CapacityError) as err:
+        exhaustive_nearest_polynomial(random_table(18, 0.5, 1), 1)
+    assert err.value.log2_candidates == 19
+    assert "work cap" in str(err.value)
 
 
 def test_exhaustive_never_worse_than_truncation():
@@ -301,6 +311,30 @@ def test_degree_density_profile_parts_rebuild_table():
         assert part_table.density() == profile[eta]
         rebuilt ^= part_table
     assert rebuilt == t
+
+
+def small_corpus():
+    rnd = random.Random(61)
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            yield TruthTable(n, bits)
+    for n in range(4, 11):
+        yield TruthTable(n, rnd.getrandbits(1 << n))
+        yield anf_to_table(random_polynomial(n, 3, 0.3, n))
+        yield majority(n)
+        yield mod_p(n, 3)
+        yield parity(n)
+
+
+def test_degree_density_profile_matches_integer_oracle():
+    for t in small_corpus():
+        assert degree_density_profile(t) == int_degree_density_profile(t), t
+
+
+def test_symmetric_projection_distance_matches_integer_oracle():
+    for t in small_corpus():
+        proj, dist = symmetric_projection_distance(t)
+        assert (proj.values, dist) == int_projection_distance(t), t
 
 
 def test_degree_density_profile_cap():

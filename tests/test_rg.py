@@ -160,7 +160,7 @@ def test_popcount_matches_weight(numpy_count, monkeypatch):
     rnd = random.Random(14)
     for n in list(range(0, 17)) + [20]:
         for t in (random_table_local(n, rnd), TruthTable.constant(n, 1)):
-            buf = rg._to_buffer(t)
+            buf = t.buffer()
             assert rg.popcount(buf) == t.weight()
             assert rg._popcount_int(buf) == t.weight()
 
@@ -259,6 +259,48 @@ def test_annihilation_depth_matches_degree_plus_one():
     a = exact_degree_poly(10, 3, 17)
     assert table_to_anf(anf_to_table(a)).degree == 3
     assert annihilation_depth(anf_to_table(a)) == 4
+
+
+def depth_over_all_subsets(t: TruthTable, cap: int) -> int | None:
+    """The subset-lattice walk that annihilation_depth ran for arity <= 8.
+
+    The derivative over a set of labels is order independent, so walking
+    the lattice level by level checks every order at once.
+    """
+    if t.is_zero():
+        return 0
+    level = {(): t.buffer()}
+    for m in range(1, cap + 1):
+        next_level = {}
+        all_zero = True
+        for subset, g in level.items():
+            start = subset[-1] + 1 if subset else 1
+            for v in range(start, t.n + 1):
+                # v's digit among the labels left: v - 1 less those removed
+                h = rg._halve(g, v - 1 - len(subset))
+                next_level[subset + (v,)] = h
+                if h.any():
+                    all_zero = False
+        if all_zero:
+            return m
+        level = next_level
+    return None
+
+
+def test_annihilation_depth_matches_subset_lattice():
+    rnd = random.Random(31)
+    for n in (6, 7, 8):
+        tables = [random_table_local(n, rnd) for _ in range(4)]
+        tables += [
+            anf_to_table(random_polynomial(n, xi, 0.3, rnd.getrandbits(30)))
+            for xi in range(n + 1)
+        ]
+        tables += [TruthTable.constant(n, 0), TruthTable.constant(n, 1), parity(n)]
+        for t in tables:
+            for cap in range(-1, n + 2):
+                assert annihilation_depth(t, cap=cap) == depth_over_all_subsets(
+                    t, min(cap, n)
+                ), (n, t.bits, cap)
 
 
 def test_annihilation_depth_none_under_cap():

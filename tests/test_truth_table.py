@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import int_mobius
+
 from boolrg.truth_table import (
     N_MAX,
     Anf,
@@ -112,7 +114,7 @@ def test_anf_rejects_bad_labels():
 
 def term_loop_anf(t: TruthTable) -> Anf:
     """Lowest-set-bit term extraction that table_to_anf used to run."""
-    coeff = mobius(t.bits, t.n)
+    coeff = int.from_bytes(mobius(t.buffer(), t.n), "little")
     terms = []
     while coeff:
         k = coeff & -coeff
@@ -129,6 +131,30 @@ def test_table_to_anf_matches_term_loop():
         for value in (0, 1):
             t = TruthTable.constant(n, value)
             assert table_to_anf(t) == term_loop_anf(t)
+
+
+def test_mobius_matches_integer_oracle():
+    for n in range(5):
+        for bits in range(1 << (1 << n)):
+            out = mobius(TruthTable(n, bits).buffer(), n)
+            assert int.from_bytes(out, "little") == int_mobius(bits, n), (n, bits)
+    rnd = random.Random(24)
+    for n in list(range(5, 21)) + [24]:
+        t = TruthTable(n, rnd.getrandbits(1 << n))
+        buf = t.buffer()
+        out = mobius(buf, n)
+        assert int.from_bytes(out, "little") == int_mobius(t.bits, n), n
+        assert TruthTable.from_buffer(n, buf) == t  # the input is not written
+
+
+def test_buffer_codec_round_trip():
+    for t in list(random_tables(12, 40, seed=5)) + [TruthTable.constant(3, 1)]:
+        buf = t.buffer()
+        assert len(buf) == (t.size + 7) // 8
+        assert TruthTable.from_buffer(t.n, buf) == t
+        assert not buf.flags.writeable
+        with pytest.raises(ValueError):
+            buf[0] = 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -232,6 +258,17 @@ def test_bfrg_round_trip(tmp_path):
     for t in random_tables(10, 25, seed=3):
         write_table(t, path)
         assert read_table(path) == t
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12), st.randoms(use_true_random=False))
+def test_bfrg_round_trip_property(tmp_path_factory, n, rnd):
+    path = tmp_path_factory.getbasetemp() / "property.bfrg"
+    t = TruthTable(n, rnd.getrandbits(1 << n))
+    write_table(t, path)
+    payload = t.bits.to_bytes(((1 << n) + 7) // 8, "little")
+    assert path.read_bytes() == f"BFRG 1 n={n}\n".encode() + payload
+    assert read_table(path) == t
 
 
 def test_bfrg_distinct_errors(tmp_path):
