@@ -124,14 +124,12 @@ def main():
 
 
 def _parse_order(order_arg: str, n: int, steps: int | None, seed: int, t) -> tuple:
+    k = steps if steps is not None else min(n, 12)
     if order_arg == "fixed":
-        k = steps if steps is not None else min(n, 12)
         return tuple(range(1, k + 1))
     if order_arg == "random":
-        k = steps if steps is not None else min(n, 12)
         return rg.sample_orders(n, 1, k, seed)[0]
     if order_arg == "all-when-small":
-        k = steps if steps is not None else min(n, 12)
         labels = tuple(range(1, k + 1))
         if math.factorial(k) <= 720:
             if not rg.order_independence_check(t, labels):

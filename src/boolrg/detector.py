@@ -10,6 +10,7 @@ after xi+1 decimations.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,13 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from . import rg
-from .symmetric import SymmetricFunction, class_weights, popcount_index_array
+from .symmetric import SymmetricFunction, class_weights
 from .truth_table import (
     Anf,
     TruthTable,
     anf_to_table,
+    coefficients_to_anf,
     mobius,
-    table_to_anf,
+    popcount_index_array,
     var_mask,
 )
 
@@ -116,8 +118,6 @@ def decomposition_from_json(text: str, n: int | None = None) -> DecompositionRep
 
 def monomials_up_to(n: int, xi: int) -> list[frozenset[int]]:
     """All monomials of degree <= xi, sorted by degree then lexicographically."""
-    import itertools
-
     if not 0 <= xi <= n:
         raise ValueError(f"degree bound {xi} outside 0..{n}")
     return [
@@ -178,10 +178,7 @@ def exhaustive_nearest_polynomial(
         key = _anf_key(monos, mask)
         if key < best_key:
             best_mask, best_key = mask, key
-    witness = Anf(
-        t.n,
-        frozenset(monos[j] for j in range(k) if best_mask >> j & 1),
-    )
+    witness = Anf(t.n, frozenset(monos[j] for j in range(k) if best_mask >> j & 1))
     remainder = Fraction(best_dist, t.size)
     return DecompositionReport(
         xi=xi,
@@ -205,9 +202,11 @@ def anf_truncation(
     """
     if not 0 <= xi <= t.n:
         raise ValueError(f"degree bound {xi} outside 0..{t.n}")
-    full = table_to_anf(t)
-    witness = Anf(t.n, frozenset(term for term in full.terms if len(term) <= xi))
-    remainder = (t ^ anf_to_table(witness)).density()
+    buf = t.buffer()
+    low_mask = np.packbits(popcount_index_array(t.n) <= xi, bitorder="little")
+    low = mobius(buf, t.n) & low_mask
+    witness = coefficients_to_anf(t.n, low)
+    remainder = Fraction(rg.popcount(buf ^ mobius(low, t.n)), t.size)
     return DecompositionReport(
         xi=xi,
         method="ANF_TRUNCATION",
@@ -323,7 +322,7 @@ def product_remainder_experiment(
     cross_ra_rb = (r_a & r_b).density()
     terms_a = len(rep_a.witness.terms)
     terms_b = len(rep_b.witness.terms)
-    terms_product = len(table_to_anf(p_a & p_b).terms)
+    terms_product = rg.popcount(mobius((p_a & p_b).buffer(), a.n))
     holds = (
         cross_pa_rb <= rep_b.remainder_density
         and cross_ra_pb <= rep_a.remainder_density

@@ -7,12 +7,12 @@ bit-exactly across runs and platforms.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import symmetric as sym
+from .detector import monomials_up_to
 from .truth_table import Anf, TruthTable, anf_to_table, var_mask
 
 
@@ -113,11 +113,7 @@ def mod_p_sym(n: int, p: int) -> sym.SymmetricFunction:
 def _random_polynomial(
     n: int, xi: int, term_density: float, rng: np.random.Generator
 ) -> Anf:
-    monos = [
-        frozenset(combo)
-        for size in range(xi + 1)
-        for combo in itertools.combinations(range(1, n + 1), size)
-    ]
+    monos = monomials_up_to(n, xi)
     keep = rng.random(len(monos)) < term_density
     return Anf(n, frozenset(m for m, k in zip(monos, keep) if k))
 

@@ -286,10 +286,7 @@ def classification_from_json(text: str) -> ClassificationReport:
 
 
 def _first_zero(trace: FlowTrace) -> int | None:
-    for ell, density in enumerate(trace.densities()):
-        if density == 0:
-            return ell
-    return None
+    return next((ell for ell, d in enumerate(trace.densities()) if d == 0), None)
 
 
 def classify(f, config: ClassifyConfig | None = None) -> ClassificationReport:

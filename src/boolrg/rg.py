@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .truth_table import TruthTable, digit_blocks, table_to_anf
+from .truth_table import TruthTable, degree, digit_blocks
 
 # Original-variable labels for a sequence of decimations.  Labels always
 # refer to positions in the undecimated arity-n function, regardless of how
@@ -151,28 +152,22 @@ def first_zero_step(t: TruthTable, order: Sequence[int], cap: int) -> int | None
 
 
 def annihilation_depth(
-    t: TruthTable,
-    orders: Sequence[Sequence[int]] | None = None,
-    cap: int | None = None,
-    seed: int = 0,
+    t: TruthTable, orders: Sequence[Sequence[int]] | None = None, cap: int | None = None
 ) -> int | None:
-    """Smallest m such that every sampled length-m decimation yields zero.
+    """Smallest m such that every length-m decimation yields zero.
 
     A polynomial of degree d is wiped out by every d+1 decimations and
     survives some d of them, so over all orders the depth is d+1 (0 for the
-    zero function).  With ``orders=None`` that exact value is returned when
-    the arity is at most 8; above 8 the sample is 64 seeded random orders,
-    which can stop short of d+1.  Returns ``None`` when no m <= cap
-    annihilates all sampled orders.
+    zero function); with ``orders=None`` that exact value is returned at
+    every arity.  With ``orders`` given, the depth is taken over those
+    orders only.  Returns ``None`` when no m <= cap annihilates them all.
     """
     cap = t.n if cap is None else min(cap, t.n)
     if orders is None:
-        if t.n <= 8:
-            if t.is_zero():
-                return 0
-            depth = table_to_anf(t).degree + 1
-            return depth if depth <= cap else None
-        orders = sample_orders(t.n, 64, cap, seed)
+        if t.is_zero():
+            return 0
+        depth = degree(t) + 1
+        return depth if depth <= cap else None
     if not orders:
         raise ValueError("need at least one order")
     deepest = 0
@@ -186,10 +181,7 @@ def annihilation_depth(
 
 
 def order_independence_check(
-    t: TruthTable,
-    labels: Iterable[int],
-    max_orderings: int = 24,
-    seed: int = 0,
+    t: TruthTable, labels: Iterable[int], max_orderings: int = 24, seed: int = 0
 ) -> bool:
     """True iff decimating the given label set agrees across orderings.
 
@@ -200,16 +192,12 @@ def order_independence_check(
     k = len(labels)
     if k <= 1:
         return True
-    n_perms = 1
-    for j in range(2, k + 1):
-        n_perms *= j
-    if n_perms <= max_orderings:
+    if math.factorial(k) <= max_orderings:
         orderings: Iterable[tuple[int, ...]] = itertools.permutations(labels)
     else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         orderings = [
-            tuple(labels[int(j)] for j in np.argsort(rng.random(k)))
-            for _ in range(max_orderings)
+            tuple(labels[v - 1] for v in order)
+            for order in sample_orders(k, max_orderings, seed=seed)
         ]
     reference = None
     for ordering in orderings:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .flow import FlowStep, FlowTrace
-from .truth_table import N_MAX, TruthTable
+from .truth_table import N_MAX, TruthTable, popcount_index_array
 
 # Up to this arity densities are exact sums over a big-integer Pascal row,
 # carried down a flow; above it, compensated log-domain sums (error < 1e-12).
@@ -99,14 +99,6 @@ def sym_density(f: SymmetricFunction) -> Fraction | float:
     ))
 
 
-def popcount_index_array(n: int) -> np.ndarray:
-    """popcount(k) for k in [0, 2**n), as uint8."""
-    pc = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        pc = np.concatenate([pc, pc + 1])
-    return pc
-
-
 def to_truth_table(f: SymmetricFunction) -> TruthTable:
     """Expand to the exhaustive table (arity capped at N_MAX)."""
     if f.n > N_MAX:
@@ -156,10 +148,9 @@ class SymFlowResult:
         """Densities over one full detected cycle (empty when no cycle)."""
         if self.cycle_start is None or self.cycle_period is None:
             return []
-        densities = [self.trace.start_density] + [
-            step.density for step in self.trace.steps
+        return self.trace.densities()[
+            self.cycle_start : self.cycle_start + self.cycle_period
         ]
-        return densities[self.cycle_start : self.cycle_start + self.cycle_period]
 
 
 def sym_flow(

@@ -201,13 +201,41 @@ class Anf:
         return sorted(tuple(sorted(t)) for t in self.terms)
 
 
+def popcount_index_array(n: int) -> np.ndarray:
+    """popcount(k) for k in [0, 2**n), as uint8."""
+    pc = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        pc = np.concatenate([pc, pc + 1])
+    return pc
+
+
+# largest index weight among the set bits of a byte; for byte 0 a value no
+# byte-index weight (at most N_MAX - 3) can lift to 0
+_TOP_WEIGHT = np.array([
+    max((j.bit_count() for j in range(8) if v >> j & 1), default=-32)
+    for v in range(256)
+], np.int8)
+
+
+def degree(t: TruthTable) -> int:
+    """Polynomial degree of ``t`` (0 for constants and the zero function)."""
+    # per byte, the byte index's weight plus the top weight of a set bit in it
+    coeff = mobius(t.buffer(), t.n)
+    weights = popcount_index_array(max(t.n - 3, 0)) + _TOP_WEIGHT[coeff]
+    return max(int(weights.max()), 0)
+
+
+def coefficients_to_anf(n: int, coeff: np.ndarray) -> Anf:
+    """Polynomial whose monomials are the set bits of a coefficient buffer."""
+    return Anf(n, frozenset(
+        frozenset(j + 1 for j in range(n) if idx >> j & 1)
+        for idx in np.flatnonzero(np.unpackbits(coeff, bitorder="little")).tolist()
+    ))
+
+
 def table_to_anf(t: TruthTable) -> Anf:
     """Polynomial coefficients of a table via the subset-sum transform."""
-    coeff = np.unpackbits(mobius(t.buffer(), t.n), bitorder="little")
-    return Anf(t.n, frozenset(
-        frozenset(j + 1 for j in range(t.n) if idx >> j & 1)
-        for idx in np.flatnonzero(coeff).tolist()
-    ))
+    return coefficients_to_anf(t.n, mobius(t.buffer(), t.n))
 
 
 def anf_to_table(a: Anf) -> TruthTable:

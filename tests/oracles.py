@@ -1,8 +1,9 @@
-"""Integer-mask reference implementations that the packed-buffer code replaced.
+"""Reference implementations that faster code in ``src/`` replaced.
 
-Each works on ``TruthTable.bits`` with Python big-integer shifts and masks,
-sharing nothing with the numpy kernels in ``src/``, so the tests compare the
-two bit for bit.
+The integer-mask ones work on ``TruthTable.bits`` with Python big-integer
+shifts and masks, sharing nothing with the numpy kernels, so the tests
+compare the two bit for bit.  :func:`term_filter_truncation` filters the
+full term set of the polynomial form, as ``anf_truncation`` once did.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from boolrg.truth_table import TruthTable
+from boolrg.truth_table import Anf, TruthTable, anf_to_table, table_to_anf
 
 
 def low_half_mask(j: int, n: int) -> int:
@@ -52,3 +53,11 @@ def int_projection_distance(t: TruthTable) -> tuple[tuple[int, ...], Fraction]:
         values.append(1 if 2 * ones > size else 0)
         flips += size - ones if 2 * ones > size else ones
     return tuple(values), Fraction(flips, t.size)
+
+
+def term_filter_truncation(t: TruthTable, xi: int) -> tuple[Anf, Fraction]:
+    """Degree-<= xi terms of the full polynomial form, and the density of
+    what they leave unexplained."""
+    full = table_to_anf(t)
+    witness = Anf(t.n, frozenset(term for term in full.terms if len(term) <= xi))
+    return witness, (t ^ anf_to_table(witness)).density()

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import boolrg
 from boolrg.cli import main
 from boolrg.flow import flow_trace_from_csv
 from boolrg.truth_table import read_table, write_table
@@ -212,3 +217,18 @@ def test_out_file_option(runner, tmp_path):
     assert res.exit_code == 0
     trace = flow_trace_from_csv(out.read_text())
     assert trace.start_arity == 8
+
+
+def test_cli_import_leaves_mpmath_out():
+    # counting imports mpmath on first use, so start-up does not pay for it
+    code = (
+        "import sys, boolrg.cli\n"
+        "before = 'mpmath' in sys.modules\n"
+        "boolrg.counting.log2_comb(10**6, 3)\n"
+        "print(before, 'mpmath' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(boolrg.__file__).resolve().parents[1])}
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert res.stdout.split() == ["False", "True"]

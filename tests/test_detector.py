@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import int_degree_density_profile, int_projection_distance
+from oracles import (
+    int_degree_density_profile,
+    int_projection_distance,
+    term_filter_truncation,
+)
 
 from boolrg.detector import (
     CapacityError,
@@ -224,6 +228,26 @@ def test_truncation_examples():
         assert rep.remainder_density > 10 * noise_density
         blowups += 1
     assert 3 <= blowups <= 27
+
+
+def test_truncation_matches_term_filter_oracle():
+    rnd = random.Random(47)
+    for n in range(2, 14):
+        tables = [
+            TruthTable(n, rnd.getrandbits(1 << n)),
+            random_table(n, 0.1, n),
+            anf_to_table(random_polynomial(n, min(n, 3), 0.3, n)),
+            planted_near_polynomial(n, 2, 0.05, n).table,
+            parity(n),
+            majority(n),
+            TruthTable.constant(n, 1),
+        ]
+        for t in tables:
+            for xi in range(n + 1):
+                rep = anf_truncation(t, xi)
+                assert (rep.witness, rep.remainder_density) == term_filter_truncation(
+                    t, xi
+                ), (n, t.bits, xi)
 
 
 def test_sieve_on_exact_polynomial_is_zero():

@@ -18,7 +18,7 @@ from boolrg.rg import (
     order_independence_check,
     sample_orders,
 )
-from boolrg.truth_table import Anf, TruthTable, anf_to_table, table_to_anf
+from boolrg.truth_table import N_MAX, Anf, TruthTable, anf_to_table, table_to_anf
 
 AND2 = TruthTable.from_outputs([0, 0, 0, 1])
 
@@ -246,19 +246,44 @@ def test_degree_drops_by_at_least_one(n, rnd):
 
 def test_annihilation_depth_examples():
     assert annihilation_depth(parity(6)) == 2
-    assert annihilation_depth(parity(12)) == 2  # sampled-orders regime
+    assert annihilation_depth(parity(12)) == 2
     assert annihilation_depth(TruthTable.constant(5, 1)) == 1
     assert annihilation_depth(TruthTable.constant(5, 0)) == 0
 
 
+def test_annihilation_depth_exact_on_sparse_monomials():
+    # only orders that start inside a sparse monomial's support keep it
+    # alive, and a sample of orders rarely draws one: it reads a depth
+    # below degree + 1
+    x1_to_x6 = Anf(12, frozenset({frozenset(range(1, 7))}))
+    assert annihilation_depth(anf_to_table(x1_to_x6)) == 7
+    x7_x14_x17 = Anf(20, frozenset({frozenset({7, 14, 17})}))
+    assert annihilation_depth(anf_to_table(x7_x14_x17)) == 4
+
+
 def test_annihilation_depth_matches_degree_plus_one():
-    # exhaustive-subsets regime (n <= 8) and sampled regime (n = 10)
     for n, seed in ((7, 5), (8, 9)):
         a = exact_degree_poly(n, 3, seed)
         assert annihilation_depth(anf_to_table(a)) == 4
     a = exact_degree_poly(10, 3, 17)
     assert table_to_anf(anf_to_table(a)).degree == 3
     assert annihilation_depth(anf_to_table(a)) == 4
+
+
+def test_annihilation_depth_is_degree_plus_one_at_every_arity():
+    rnd = random.Random(37)
+    for n in range(N_MAX + 1):
+        assert annihilation_depth(TruthTable.constant(n, 0), cap=-1) == 0
+        for d in sorted({0, min(n, 1), min(n, 3), n // 2, n}):
+            # one monomial of degree d over a few random lower-degree ones
+            labels = range(1, n + 1)
+            terms = {frozenset(rnd.sample(labels, d))}
+            terms |= {frozenset(rnd.sample(labels, rnd.randrange(d))) for _ in range(3 if d else 0)}
+            t = anf_to_table(Anf(n, frozenset(terms)))
+            assert annihilation_depth(t) == (d + 1 if d + 1 <= n else None), (n, d)
+            assert annihilation_depth(t, cap=d) is None
+            if d + 1 <= n:
+                assert annihilation_depth(t, cap=d + 1) == d + 1
 
 
 def depth_over_all_subsets(t: TruthTable, cap: int) -> int | None:
@@ -289,7 +314,7 @@ def depth_over_all_subsets(t: TruthTable, cap: int) -> int | None:
 
 def test_annihilation_depth_matches_subset_lattice():
     rnd = random.Random(31)
-    for n in (6, 7, 8):
+    for n in range(6, 11):
         tables = [random_table_local(n, rnd) for _ in range(4)]
         tables += [
             anf_to_table(random_polynomial(n, xi, 0.3, rnd.getrandbits(30)))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import int_mobius
 
+from boolrg.families import random_polynomial, random_table
 from boolrg.truth_table import (
     N_MAX,
     Anf,
@@ -16,7 +17,9 @@ from boolrg.truth_table import (
     BfrgPayloadError,
     TruthTable,
     anf_to_table,
+    degree,
     mobius,
+    popcount_index_array,
     read_table,
     table_to_anf,
     write_table,
@@ -174,6 +177,39 @@ def test_anf_round_trip(case):
         frozenset(j + 1 for j in range(n) if idx >> j & 1) for idx in indices
     ))
     assert table_to_anf(anf_to_table(a)) == a
+
+
+def test_degree_matches_anf_degree():
+    for n in range(4):
+        for bits in range(1 << (1 << n)):
+            t = TruthTable(n, bits)
+            assert degree(t) == table_to_anf(t).degree, t
+    for n in range(4, 17):
+        tables = [random_table(n, p0, n) for p0 in (0.5, 0.01)]
+        tables += [
+            anf_to_table(random_polynomial(n, xi, 0.3, n))
+            for xi in sorted({0, 1, 3, n // 2, n - 1, n})
+        ]
+        tables += [TruthTable.constant(n, 1), TruthTable(n, 1 << ((1 << n) - 1))]
+        for t in tables:
+            assert degree(t) == table_to_anf(t).degree, (n, t.bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, N_MAX - 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=20))
+))
+def test_degree_round_trip(case):
+    n, indices = case
+    a = Anf(n, frozenset(
+        frozenset(j + 1 for j in range(n) if idx >> j & 1) for idx in indices
+    ))
+    assert degree(anf_to_table(a)) == a.degree
+
+
+def test_popcount_index_array():
+    for n in range(11):
+        assert popcount_index_array(n).tolist() == [k.bit_count() for k in range(1 << n)]
 
 
 @settings(max_examples=50, deadline=None)
