@@ -4,8 +4,8 @@ Subcommands: flow, sym-flow, classify, detect, count, gen.  Every command
 is deterministic under an explicit --seed; without one a fresh seed is
 drawn and echoed to stderr so the run can be reproduced.  detect exits 0
 when the probed function fits the near-polynomial bound, 3 when it does
-not, and 4 when the exact search would exceed its candidate or work cap,
-so shell pipelines can sieve corpora without parsing JSON.
+not, and 4 when the exact search would exceed its candidate cap, so shell
+pipelines can sieve corpora without parsing JSON.
 """
 
 from __future__ import annotations

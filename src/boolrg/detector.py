@@ -29,18 +29,17 @@ from .truth_table import (
     mobius,
     popcount_index_array,
     var_mask,
+    walsh_hadamard,
 )
 
-# Exact search enumerates 2**K candidate polynomials, K = number of
-# monomials of degree <= xi, and XORs each into a table of 2**n bits.  Both
-# the candidates (Python overhead per candidate dominates at small n) and
-# the 2**(K + n) bits of work are capped; n = 17 at xi = 1 takes seconds.
+# Exact search covers 2**K candidate polynomials, K = number of monomials of
+# degree <= xi, in n * 2**(K - 1) additions over 2**(K + 1) bytes of int32
+# Walsh–Hadamard rows, so capping K caps the work.
 EXHAUSTIVE_K_CAP = 24
-EXHAUSTIVE_WORK_CAP = 35
 
 
 class CapacityError(ValueError):
-    """Exact search would need more candidates or work than the caps allow."""
+    """Exact search would need more candidates than the cap allows."""
 
     def __init__(self, message: str, log2_candidates: int):
         super().__init__(message)
@@ -56,8 +55,8 @@ def detection_bound(n: int, xi: int, c: float = 1.0, alpha: float = 1.0) -> floa
     """
     if n < 2:
         raise ValueError("bound needs arity >= 2")
-    if xi < 0:
-        raise ValueError("degree bound must be nonnegative")
+    if not 0 <= xi <= n:
+        raise ValueError(f"degree bound {xi} outside 0..{n}")
     return c * 2.0 ** (-alpha * xi * math.log2(n))
 
 
@@ -135,51 +134,47 @@ def monomial_table_bits(n: int, mono: frozenset[int]) -> int:
     return bits
 
 
-def _anf_key(monos: Sequence[frozenset[int]], mask: int) -> list[tuple[int, ...]]:
-    return sorted(
-        tuple(sorted(monos[j])) for j in range(mask.bit_length()) if mask >> j & 1
-    )
-
-
 def exhaustive_nearest_polynomial(
     t: TruthTable, xi: int, c: float = 1.0, alpha: float = 1.0
 ) -> DecompositionReport:
-    """Nearest polynomial of degree <= xi by full enumeration.
+    """Nearest polynomial of degree <= xi over all 2**K candidates.
 
-    Walks all 2**K coefficient choices in Gray-code order (one table XOR
-    per candidate).  Ties go to the lexicographically smallest monomial
-    set.  Raises CapacityError beyond 2**24 candidates, or beyond 2**35
-    candidate-table bits.
+    For each choice of the degree-2..xi part, one Walsh–Hadamard transform
+    W of ``t`` XOR that part scores every affine completion a.x + b at
+    distance (2**n -+ W[a]) / 2: maximum-likelihood decoding of RM(1, n),
+    MacWilliams & Sloane ch. 14.  Ties go to the lexicographically smallest
+    sorted monomial list.  Raises CapacityError beyond 2**24 candidates.
     """
+    bound = detection_bound(t.n, xi, c, alpha)
     monos = monomials_up_to(t.n, xi)
     k = len(monos)
-    if k > EXHAUSTIVE_K_CAP or k + t.n > EXHAUSTIVE_WORK_CAP:
+    if k > EXHAUSTIVE_K_CAP:
         raise CapacityError(
-            f"2**{k} candidate polynomials over 2**{t.n} outputs exceed the "
-            f"2**{EXHAUSTIVE_K_CAP} candidate or 2**{EXHAUSTIVE_WORK_CAP} work cap",
+            f"2**{k} candidate polynomials exceed the 2**{EXHAUSTIVE_K_CAP} "
+            "candidate cap",
             log2_candidates=k,
         )
-    basis = [monomial_table_bits(t.n, m) for m in monos]
-    current = 0
-    mask = 0
-    best_mask = 0
-    best_dist = t.bits.bit_count()
-    best_key = _anf_key(monos, 0)
-    for g in range(1, 1 << k):
-        j = (g & -g).bit_length() - 1
-        mask ^= 1 << j
-        current ^= basis[j]
-        dist = (current ^ t.bits).bit_count()
-        if dist > best_dist:
-            continue
-        if dist < best_dist:
-            best_dist, best_mask, best_key = dist, mask, _anf_key(monos, mask)
-            continue
-        key = _anf_key(monos, mask)
-        if key < best_key:
-            best_mask, best_key = mask, key
-    witness = Anf(t.n, frozenset(monos[j] for j in range(k) if best_mask >> j & 1))
-    remainder = Fraction(best_dist, t.size)
+    # row h is t XOR the degree-2..xi terms in h, as int32 ±1 (never uint8)
+    high = monos[t.n + 1 :]
+    rows = np.empty((1 << len(high), t.size), np.int32)
+    rows[0] = np.unpackbits(t.buffer(), count=t.size, bitorder="little")
+    for j, mono in enumerate(high):
+        part = TruthTable(t.n, monomial_table_bits(t.n, mono)).to_outputs()
+        np.bitwise_xor(rows[: 1 << j], part, out=rows[1 << j : 2 << j])
+    rows *= -2
+    rows += 1
+    w = walsh_hadamard(rows)[:, : 1 if xi == 0 else None]
+    top = int(np.abs(w).max())
+    # the ties as coefficient masks (bit j: monos[j]), then as their terms'
+    # ascending ranks in sorted-tuple order, padded with 0 for lexsort
+    h, a, b = np.nonzero(np.stack([w == top, w == -top], axis=-1))
+    masks = h << (t.n + 1) | a << 1 | b
+    order = np.array(sorted(range(k), key=lambda j: sorted(monos[j])))
+    ranks = np.where(masks[:, None] >> order & 1, np.arange(1, k + 1), k + 1)
+    padded = np.sort(ranks, axis=1) % (k + 1)
+    best = int(masks[np.lexsort(padded.T[::-1])[0]])
+    witness = Anf(t.n, frozenset(monos[j] for j in range(k) if best >> j & 1))
+    remainder = Fraction((t.size - top) // 2, t.size)
     return DecompositionReport(
         xi=xi,
         method="EXHAUSTIVE",
@@ -187,7 +182,7 @@ def exhaustive_nearest_polynomial(
         remainder_density=remainder,
         bound_c=c,
         bound_alpha=alpha,
-        meets_bound=float(remainder) <= detection_bound(t.n, xi, c, alpha),
+        meets_bound=float(remainder) <= bound,
     )
 
 
@@ -200,8 +195,7 @@ def anf_truncation(
     dense even when a sparse perturbation of ``t`` is a low-degree
     polynomial.
     """
-    if not 0 <= xi <= t.n:
-        raise ValueError(f"degree bound {xi} outside 0..{t.n}")
+    bound = detection_bound(t.n, xi, c, alpha)
     buf = t.buffer()
     low_mask = np.packbits(popcount_index_array(t.n) <= xi, bitorder="little")
     low = mobius(buf, t.n) & low_mask
@@ -214,7 +208,7 @@ def anf_truncation(
         remainder_density=remainder,
         bound_c=c,
         bound_alpha=alpha,
-        meets_bound=float(remainder) <= detection_bound(t.n, xi, c, alpha),
+        meets_bound=float(remainder) <= bound,
     )
 
 
@@ -234,6 +228,7 @@ def derivative_sieve(
     2**(xi+1), is a certified lower bound on the remainder density of every
     degree-<= xi decomposition.
     """
+    bound = detection_bound(t.n, xi, c, alpha)
     if xi + 1 > t.n:
         raise ValueError(f"need arity > xi; got arity {t.n}, xi {xi}")
     if orders is None:
@@ -254,7 +249,7 @@ def derivative_sieve(
         remainder_density=rho_hat,
         bound_c=c,
         bound_alpha=alpha,
-        meets_bound=float(rho_hat) <= detection_bound(t.n, xi, c, alpha),
+        meets_bound=float(rho_hat) <= bound,
     )
 
 

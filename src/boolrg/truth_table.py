@@ -89,6 +89,20 @@ def mobius(buf: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def walsh_hadamard(rows: np.ndarray) -> np.ndarray:
+    """In-place integer Walsh–Hadamard butterfly on each row of a contiguous
+    (rows, 2**n) array.  A ±1 row of f (-1 where f is 1) becomes, at index
+    a, 2**n less twice the distance from f to the linear function a.x."""
+    r, size = rows.shape
+    for b in range(size.bit_length() - 1):
+        pairs = rows.reshape(r, -1, 2, 1 << b)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    return rows
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Immutable bit-packed table of all 2**n outputs of a Boolean function."""

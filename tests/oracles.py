@@ -3,7 +3,9 @@
 The integer-mask ones work on ``TruthTable.bits`` with Python big-integer
 shifts and masks, sharing nothing with the numpy kernels, so the tests
 compare the two bit for bit.  :func:`term_filter_truncation` filters the
-full term set of the polynomial form, as ``anf_truncation`` once did.
+full term set of the polynomial form, as ``anf_truncation`` once did, and
+:func:`gray_walk_nearest` scores every candidate polynomial one at a time,
+as ``exhaustive_nearest_polynomial`` once did.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from boolrg.detector import monomial_table_bits, monomials_up_to
 from boolrg.truth_table import Anf, TruthTable, anf_to_table, table_to_anf
 
 
@@ -61,3 +64,28 @@ def term_filter_truncation(t: TruthTable, xi: int) -> tuple[Anf, Fraction]:
     full = table_to_anf(t)
     witness = Anf(t.n, frozenset(term for term in full.terms if len(term) <= xi))
     return witness, (t ^ anf_to_table(witness)).density()
+
+
+def gray_walk_nearest(t: TruthTable, xi: int) -> tuple[Anf, Fraction]:
+    """Nearest degree-<= xi polynomial and its distance density, walking all
+    2**K coefficient choices in Gray-code order with one table XOR each.
+
+    Ties go to the lexicographically smallest sorted monomial list.
+    """
+    monos = monomials_up_to(t.n, xi)
+
+    def key(mask: int) -> list[tuple[int, ...]]:
+        return sorted(tuple(sorted(monos[j])) for j in range(len(monos)) if mask >> j & 1)
+
+    basis = [monomial_table_bits(t.n, m) for m in monos]
+    current = mask = best_mask = 0
+    best_dist = t.bits.bit_count()
+    for g in range(1, 1 << len(monos)):
+        j = (g & -g).bit_length() - 1
+        mask ^= 1 << j
+        current ^= basis[j]
+        dist = (current ^ t.bits).bit_count()
+        if dist < best_dist or (dist == best_dist and key(mask) < key(best_mask)):
+            best_dist, best_mask = dist, mask
+    witness = Anf(t.n, frozenset(monos[j] for j in range(len(monos)) if best_mask >> j & 1))
+    return witness, Fraction(best_dist, t.size)

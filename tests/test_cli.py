@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,9 +12,10 @@ from click.testing import CliRunner
 
 import boolrg
 from boolrg.cli import main
+from boolrg.detector import anf_truncation
 from boolrg.flow import flow_trace_from_csv
-from boolrg.truth_table import read_table, write_table
-from boolrg.families import parity, planted_near_polynomial
+from boolrg.truth_table import Anf, anf_to_table, read_table, write_table
+from boolrg.families import parity, planted_near_polynomial, random_table
 
 
 @pytest.fixture
@@ -131,20 +134,47 @@ def test_detect_exit_codes(runner, tmp_path):
     assert res.exit_code == 4
 
 
-def test_detect_exhaustive_over_work_cap_exits_fast(runner):
-    # 2**21 candidates pass the candidate cap, but each is a 2**20-bit table
-    # XOR: the search would run for minutes
+def test_detect_exhaustive_n20_reports_fast(runner):
+    # 2**21 candidates over 2**20 outputs: one Walsh-Hadamard transform
     start = time.perf_counter()
     res = invoke(
         runner,
         ["detect", "--family", "random", "--n", "20", "--detect-xi", "1", "--seed", "4", "--method", "exhaustive"],
     )
     assert time.perf_counter() - start < 1.0
+    assert res.exit_code in (0, 3)
+    rep = json.loads(res.output)
+    t = random_table(20, 0.5, 4)
+    witness = Anf(20, frozenset(frozenset(m) for m in rep["witness_monomials"]))
+    dist = Fraction(rep["remainder_num"], rep["remainder_den"])
+    assert dist == (t ^ anf_to_table(witness)).density()
+    assert dist <= anf_truncation(t, 1).remainder_density
+
+
+def test_detect_exhaustive_over_candidate_cap_exits_fast(runner):
+    # n = 24, xi = 1: 2**25 candidates, one doubling past the cap
+    start = time.perf_counter()
+    res = invoke(
+        runner,
+        ["detect", "--family", "random", "--n", "24", "--detect-xi", "1", "--seed", "4", "--method", "exhaustive"],
+    )
+    assert time.perf_counter() - start < 1.0
     assert res.exit_code == 4
     # stdout and stderr interleaved (as click < 8.2 also gives them): the
     # capacity message alone, no JSON report on stdout
     assert res.output.splitlines() == [res.output.strip()]
-    assert "work cap" in res.output and "{" not in res.output
+    assert "candidate cap" in res.output and "{" not in res.output
+
+
+def test_detect_below_arity_two_is_a_usage_error(runner):
+    for n, method in itertools.product(("0", "1"), ("exhaustive", "truncate", "sieve")):
+        res = runner.invoke(
+            main,
+            ["detect", "--family", "random", "--n", n, "--detect-xi", "0", "--seed", "4", "--method", method],
+        )
+        assert res.exit_code == 2
+        # the CLI samples the sieve's orders first, and n = 0 has none
+        assert "arity >= 2" in res.output or (method, n) == ("sieve", "0")
 
 
 def test_count_csv(runner):

@@ -1,15 +1,18 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from oracles import (
+    gray_walk_nearest,
     int_degree_density_profile,
     int_projection_distance,
     term_filter_truncation,
 )
 
+from boolrg import detector, rg
 from boolrg.detector import (
     CapacityError,
     anf_truncation,
@@ -137,13 +140,78 @@ def test_exhaustive_capacity_error():
     assert str(err.value.log2_candidates) in str(err.value)
 
 
-def test_exhaustive_work_cap():
-    # n = 18, xi = 1: 2**19 candidates, under the candidate cap, but
-    # 19 + 18 > 35 doublings of table work
-    with pytest.raises(CapacityError) as err:
-        exhaustive_nearest_polynomial(random_table(18, 0.5, 1), 1)
-    assert err.value.log2_candidates == 19
-    assert "work cap" in str(err.value)
+def test_exhaustive_at_n18_reports_in_under_a_second():
+    # 2**19 candidates over 2**18 outputs: one transform of 2**18 entries
+    t = random_table(18, 0.5, 1)
+    start = time.perf_counter()
+    rep = exhaustive_nearest_polynomial(t, 1)
+    assert time.perf_counter() - start < 1.0
+    assert rep.remainder_density == (t ^ anf_to_table(rep.witness)).density()
+    assert rep.remainder_density <= anf_truncation(t, 1).remainder_density
+
+
+def inner_product(n):
+    """x1 x2 + x3 x4 + ...: bent at even n, input n unused at odd n."""
+    return anf_to_table(
+        Anf(n, frozenset(frozenset({i, i + 1}) for i in range(1, n, 2)))
+    )
+
+
+def test_exhaustive_matches_gray_walk_oracle():
+    # every (n, xi) with at most 2**16 candidates; inner products and
+    # parity (balanced: both constants tie at xi = 0) exercise the ties
+    rnd = random.Random(71)
+    for n in range(2, 16):
+        for xi in range(n + 1):
+            if len(monomials_up_to(n, xi)) > 16:
+                break
+            tables = [
+                TruthTable(n, rnd.getrandbits(1 << n)),
+                anf_to_table(random_polynomial(n, 1, 0.5, n)),
+                planted_near_polynomial(n, xi, 0.05, n + xi).table,
+                inner_product(n),
+                ~inner_product(n),
+                parity(n),
+            ]
+            for t in tables:
+                rep = exhaustive_nearest_polynomial(t, xi)
+                witness, dist = gray_walk_nearest(t, xi)
+                assert (rep.witness, rep.remainder_density) == (witness, dist), (
+                    n, xi, t.bits
+                )
+                assert rep.meets_bound == (float(dist) <= detection_bound(n, xi))
+
+
+def test_exhaustive_bent_ties_every_mask():
+    # |W[a]| = 2**(n/2) for every a, so all 2**n linear parts tie
+    for t in (inner_product(8), ~inner_product(8), inner_product(8) ^ parity(8)):
+        rep = exhaustive_nearest_polynomial(t, 1)
+        assert (rep.witness, rep.remainder_density) == gray_walk_nearest(t, 1)
+    t = inner_product(16)
+    start = time.perf_counter()
+    rep = exhaustive_nearest_polynomial(t, 1)
+    assert time.perf_counter() - start < 1.0
+    assert rep.remainder_density == Fraction(2**15 - 2**7, 2**16)
+    assert rep.witness == Anf(16, frozenset())  # the empty list sorts first
+
+
+def test_detectors_check_arity_before_any_work(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("work done before the arity check")
+
+    for name in ("walsh_hadamard", "mobius", "monomials_up_to"):
+        monkeypatch.setattr(detector, name, boom)
+    for name in ("sample_orders", "decimate_seq"):
+        monkeypatch.setattr(rg, name, boom)
+    for n in (0, 1):
+        t = TruthTable.constant(n, 1)
+        for probe in (
+            exhaustive_nearest_polynomial,
+            anf_truncation,
+            derivative_sieve,
+        ):
+            with pytest.raises(ValueError, match="arity >= 2"):
+                probe(t, 0)
 
 
 def test_exhaustive_never_worse_than_truncation():

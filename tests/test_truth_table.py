@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from boolrg.truth_table import (
     popcount_index_array,
     read_table,
     table_to_anf,
+    walsh_hadamard,
     write_table,
 )
 
@@ -148,6 +150,22 @@ def test_mobius_matches_integer_oracle():
         out = mobius(buf, n)
         assert int.from_bytes(out, "little") == int_mobius(t.bits, n), n
         assert TruthTable.from_buffer(n, buf) == t  # the input is not written
+
+
+def test_walsh_hadamard_matches_correlation_sums():
+    # entry a of a ±1 row of f is sum_x (-1)**(f(x) + popcount(x & a)),
+    # summed in Python integers over every x, for several rows at once
+    rnd = random.Random(29)
+    for n in range(11):
+        tables = [TruthTable(n, rnd.getrandbits(1 << n)) for _ in range(3)]
+        signs = [[1 - 2 * b for b in t.to_outputs()] for t in tables]
+        rows = np.array(signs, np.int32).reshape(3, 1 << n)
+        assert walsh_hadamard(rows) is rows
+        for row, sign in zip(rows.tolist(), signs):
+            assert row == [
+                sum(s * (-1) ** (x & a).bit_count() for x, s in enumerate(sign))
+                for a in range(1 << n)
+            ], n
 
 
 def test_buffer_codec_round_trip():
